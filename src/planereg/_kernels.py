@@ -1,11 +1,12 @@
-"""Compute kernels for the 3x3x3 convolution primitive.
+"""Numpy kernels for the 3x3x3 convolution and 2x2x2 max-pooling primitives.
 
-Two interchangeable backends: JIT-compiled loops (numba, row-vectorized over
-the contiguous last axis) for large feature maps, and an einsum/im2col path
-used for small maps, for float64 gradient checks, and as a fallback when
-numba is unavailable.  Both are bitwise deterministic for a fixed input: every
-output element is produced by exactly one thread in a fixed accumulation
-order.
+The convolution is one einsum over a ``sliding_window_view`` of the
+zero-padded input, which exposes every 3x3x3 neighbourhood without copying;
+its input gradient is the same einsum on the padded output gradient with
+flipped, channel-transposed weights.  Max pooling reshapes the input into
+2x2x2 blocks and takes the per-block argmax (first maximum on ties), which
+the backward pass scatters the gradient through.  For a fixed input every
+result is bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -13,187 +14,15 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-try:
-    import numba
-    from numba import njit, prange
-
-    # the default layer probes TBB first, which warns on older TBB builds
-    if numba.config.THREADING_LAYER == "default":
-        numba.config.THREADING_LAYER = "omp"
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*a, **k):
-        def wrap(f):
-            return f
-
-        return wrap
-
-    prange = range
-
-# feature maps at least this many voxels go through the numba path
-NUMBA_MIN_VOXELS = 12 * 12 * 12
-
-# point batches at least this large go through the numba gather
-NUMBA_MIN_POINTS = 2048
-
-
-@njit(inline="always")
-def _sample_one(values, ux, uy, uz, fill):
-    """Blend the 8 voxel centers around continuous index (ux, uy, uz).
-
-    The inside test allows 1e-9 voxels of slack so grid points that belong
-    exactly on the hull never flip to fill through rounding.
-    """
-    nx, ny, nz = values.shape
-    eps = 1e-9
-    if (
-        ux < -eps
-        or uy < -eps
-        or uz < -eps
-        or ux > nx - 1.0 + eps
-        or uy > ny - 1.0 + eps
-        or uz > nz - 1.0 + eps
-    ):
-        return fill
-    ix = int(ux)
-    iy = int(uy)
-    iz = int(uz)
-    if ix < 0:
-        ix = 0
-    if iy < 0:
-        iy = 0
-    if iz < 0:
-        iz = 0
-    if ix > nx - 2:
-        ix = nx - 2
-    if iy > ny - 2:
-        iy = ny - 2
-    if iz > nz - 2:
-        iz = nz - 2
-    fx = ux - ix
-    fy = uy - iy
-    fz = uz - iz
-    gz = 1.0 - fz
-    c00 = gz * values[ix, iy, iz] + fz * values[ix, iy, iz + 1]
-    c01 = gz * values[ix, iy + 1, iz] + fz * values[ix, iy + 1, iz + 1]
-    c10 = gz * values[ix + 1, iy, iz] + fz * values[ix + 1, iy, iz + 1]
-    c11 = gz * values[ix + 1, iy + 1, iz] + fz * values[ix + 1, iy + 1, iz + 1]
-    return (1.0 - fx) * ((1.0 - fy) * c00 + fy * c01) + fx * ((1.0 - fy) * c10 + fy * c11)
-
-
-@njit(parallel=True, fastmath=True, cache=True)
-def trilinear_gather(values, sx, sy, sz, pts, out, fill):
-    """Trilinear interpolation at world points; outside the center hull -> fill.
-
-    ``values`` is the (nx, ny, nz) sample grid with voxel centers at
-    ``(i - (n-1)/2) * spacing``; ``pts`` is (N, 3) float64; results are
-    written into ``out`` (cast on store).
-    """
-    nx, ny, nz = values.shape
-    ox = (nx - 1) / 2.0
-    oy = (ny - 1) / 2.0
-    oz = (nz - 1) / 2.0
-    for i in prange(pts.shape[0]):
-        ux = pts[i, 0] / sx + ox
-        uy = pts[i, 1] / sy + oy
-        uz = pts[i, 2] / sz + oz
-        out[i] = _sample_one(values, ux, uy, uz, fill)
-
-
-@njit(parallel=True, fastmath=True, cache=True)
-def trilinear_resample(values, sx, sy, sz, M, t, osx, osy, osz, out, fill):
-    """Fused output-grid construction, inverse transform, and interpolation.
-
-    ``out`` is the (dx, dy, dz) target grid with voxel size (osx, osy, osz);
-    each output voxel's world point maps through ``M @ p + t`` into the
-    source volume and samples it trilinearly.
-    """
-    nx, ny, nz = values.shape
-    dx, dy, dz = out.shape
-    cx = (dx - 1) / 2.0
-    cy = (dy - 1) / 2.0
-    cz = (dz - 1) / 2.0
-    ox = (nx - 1) / 2.0
-    oy = (ny - 1) / 2.0
-    oz = (nz - 1) / 2.0
-    for i in prange(dx):
-        wx = (i - cx) * osx
-        for j in range(dy):
-            wy = (j - cy) * osy
-            for k in range(dz):
-                wz = (k - cz) * osz
-                px = M[0, 0] * wx + M[0, 1] * wy + M[0, 2] * wz + t[0]
-                py = M[1, 0] * wx + M[1, 1] * wy + M[1, 2] * wz + t[1]
-                pz = M[2, 0] * wx + M[2, 1] * wy + M[2, 2] * wz + t[2]
-                out[i, j, k] = _sample_one(values, px / sx + ox, py / sy + oy, pz / sz + oz, fill)
-
-
-@njit(parallel=True, fastmath=True, cache=True)
-def _conv3d_fwd_nb(xpad, w, bias, out):
-    B, C, Dp, Hp, Wp = xpad.shape
-    O = w.shape[0]
-    D, H, W = Dp - 2, Hp - 2, Wp - 2
-    for bo in prange(B * O):
-        b = bo // O
-        o = bo % O
-        for d in range(D):
-            for h in range(H):
-                row = np.full(W, bias[o], dtype=xpad.dtype)
-                for c in range(C):
-                    for i in range(3):
-                        for j in range(3):
-                            src = xpad[b, c, d + i, h + j]
-                            w0 = w[o, c, i, j, 0]
-                            w1 = w[o, c, i, j, 1]
-                            w2 = w[o, c, i, j, 2]
-                            for x in range(W):
-                                row[x] += w0 * src[x] + w1 * src[x + 1] + w2 * src[x + 2]
-                out[b, o, d, h, :] = row
-
-
-@njit(parallel=True, fastmath=True, cache=True)
-def _conv3d_grad_w_nb(xpad, gout, gw):
-    B, C, Dp, Hp, Wp = xpad.shape
-    O = gout.shape[1]
-    D, H, W = Dp - 2, Hp - 2, Wp - 2
-    zero = xpad[0, 0, 0, 0, 0] * 0  # accumulate in the input dtype
-    for oc in prange(O * C):
-        o = oc // C
-        c = oc % C
-        for i in range(3):
-            for j in range(3):
-                a0 = zero
-                a1 = zero
-                a2 = zero
-                for b in range(B):
-                    for d in range(D):
-                        for h in range(H):
-                            g = gout[b, o, d, h]
-                            src = xpad[b, c, d + i, h + j]
-                            for x in range(W):
-                                a0 += g[x] * src[x]
-                                a1 += g[x] * src[x + 1]
-                                a2 += g[x] * src[x + 2]
-                gw[o, c, i, j, 0] = a0
-                gw[o, c, i, j, 1] = a1
-                gw[o, c, i, j, 2] = a2
-
 
 def _windows(xpad):
     # (B, C, D, H, W, 3, 3, 3) view of all 3^3 neighborhoods
     return sliding_window_view(xpad, (3, 3, 3), axis=(2, 3, 4))
 
 
-def _conv3d_fwd_np(xpad, w, bias):
+def _conv3d_padded(xpad, w, bias):
     out = np.einsum("bcdhwijk,ocijk->bodhw", _windows(xpad), w, optimize=True)
     return out + bias[None, :, None, None, None]
-
-
-def _conv3d_grad_w_np(xpad, gout):
-    return np.einsum("bcdhwijk,bodhw->ocijk", _windows(xpad), gout, optimize=True)
 
 
 def _pad1(x):
@@ -203,22 +32,13 @@ def _pad1(x):
     return out
 
 
-def _use_numba(shape) -> bool:
-    return HAVE_NUMBA and int(np.prod(shape[2:])) >= NUMBA_MIN_VOXELS
-
-
 def conv3d_forward(x, w, bias):
     """3x3x3 convolution, stride 1, zero padding 1.
 
     ``x`` is ``(B, C, D, H, W)``, ``w`` is ``(O, C, 3, 3, 3)``; returns
     ``(B, O, D, H, W)``.
     """
-    xpad = _pad1(x)
-    if _use_numba(x.shape):
-        out = np.empty((x.shape[0], w.shape[0]) + x.shape[2:], dtype=x.dtype)
-        _conv3d_fwd_nb(xpad, w, bias, out)
-        return out
-    return _conv3d_fwd_np(xpad, w, bias)
+    return _conv3d_padded(_pad1(x), w, bias)
 
 
 def conv3d_backward(x, w, gout, need_gx: bool = True):
@@ -228,78 +48,15 @@ def conv3d_backward(x, w, gout, need_gx: bool = True):
     with the flipped, channel-transposed weights; it reuses the forward
     kernel.  Pass ``need_gx=False`` to skip it (first layer).
     """
-    xpad = _pad1(x)
-    if _use_numba(x.shape):
-        gw = np.empty_like(w)
-        _conv3d_grad_w_nb(xpad, np.ascontiguousarray(gout), gw)
-    else:
-        gw = _conv3d_grad_w_np(xpad, gout)
+    gw = np.einsum("bcdhwijk,bodhw->ocijk", _windows(_pad1(x)), gout, optimize=True)
     gb = gout.sum(axis=(0, 2, 3, 4))
 
     if not need_gx:
         return None, gw, gb
     w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
     gpad = _pad1(np.ascontiguousarray(gout))
-    if _use_numba(gout.shape):
-        gx = np.empty_like(x)
-        _conv3d_fwd_nb(gpad, w_flip, np.zeros(w_flip.shape[0], dtype=x.dtype), gx)
-    else:
-        gx = _conv3d_fwd_np(gpad, w_flip, np.zeros(w_flip.shape[0], dtype=x.dtype))
+    gx = _conv3d_padded(gpad, w_flip, np.zeros(w_flip.shape[0], dtype=x.dtype))
     return gx, gw, gb
-
-
-@njit(parallel=True, fastmath=True, cache=True)
-def _relu_bwd_nb(x, g, gx):
-    for i in prange(x.size):
-        gx[i] = g[i] if x[i] > 0.0 else 0.0
-
-
-def relu_backward(x, g):
-    """Gradient of max(x, 0): pass-through where the input was positive."""
-    if HAVE_NUMBA and x.size >= NUMBA_MIN_POINTS:
-        gx = np.empty_like(g)
-        _relu_bwd_nb(x.reshape(-1), np.ascontiguousarray(g).reshape(-1), gx.reshape(-1))
-        return gx
-    return g * (x > 0)
-
-
-@njit(parallel=True, fastmath=True, cache=True)
-def _maxpool3d_fwd_nb(x, out, idx):
-    B, C, D, H, W = x.shape
-    D2, H2, W2 = out.shape[2], out.shape[3], out.shape[4]
-    for bc in prange(B * C):
-        b = bc // C
-        c = bc % C
-        for d in range(D2):
-            for h in range(H2):
-                for w in range(W2):
-                    best = x[b, c, 2 * d, 2 * h, 2 * w]
-                    arg = 0
-                    n = 0
-                    for i in range(2):
-                        for j in range(2):
-                            for k in range(2):
-                                v = x[b, c, 2 * d + i, 2 * h + j, 2 * w + k]
-                                if v > best:  # strict: ties go to the first maximum
-                                    best = v
-                                    arg = n
-                                n += 1
-                    out[b, c, d, h, w] = best
-                    idx[b, c, d, h, w] = arg
-
-
-@njit(parallel=True, fastmath=True, cache=True)
-def _maxpool3d_bwd_nb(gx, idx, gout):
-    B, C = gx.shape[0], gx.shape[1]
-    D2, H2, W2 = gout.shape[2], gout.shape[3], gout.shape[4]
-    for bc in prange(B * C):
-        b = bc // C
-        c = bc % C
-        for d in range(D2):
-            for h in range(H2):
-                for w in range(W2):
-                    n = idx[b, c, d, h, w]
-                    gx[b, c, 2 * d + n // 4, 2 * h + (n // 2) % 2, 2 * w + n % 2] = gout[b, c, d, h, w]
 
 
 def maxpool3d_forward(x):
@@ -310,11 +67,6 @@ def maxpool3d_forward(x):
     """
     B, C, D, H, W = x.shape
     D2, H2, W2 = D // 2, H // 2, W // 2
-    if HAVE_NUMBA:
-        out = np.empty((B, C, D2, H2, W2), dtype=x.dtype)
-        idx = np.empty((B, C, D2, H2, W2), dtype=np.uint8)
-        _maxpool3d_fwd_nb(x, out, idx)
-        return out, idx
     xc = x[:, :, : D2 * 2, : H2 * 2, : W2 * 2]
     blocks = (
         xc.reshape(B, C, D2, 2, H2, 2, W2, 2)
@@ -328,9 +80,6 @@ def maxpool3d_forward(x):
 
 def maxpool3d_backward(x_shape, idx, gout):
     gx = np.zeros(x_shape, dtype=gout.dtype)
-    if HAVE_NUMBA:
-        _maxpool3d_bwd_nb(gx, idx, np.ascontiguousarray(gout))
-        return gx
     B, C, D, H, W = x_shape
     D2, H2, W2 = D // 2, H // 2, W // 2
     gblocks = np.zeros((B, C, D2, H2, W2, 8), dtype=gout.dtype)

@@ -235,7 +235,7 @@ def maximum(a, scalar: float) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    return _make(np.maximum(a.data, 0.0), (a,), lambda g: (_kernels.relu_backward(a.data, g),))
+    return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0),))
 
 
 # -- shape and indexing -------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -49,36 +49,6 @@ _AUG_TAG = 1000  # seed-sequence namespace for per-sample augmentation draws
 
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite; message carries epoch, batch, and lr."""
-
-
-EXPERIMENT_SCHEMA: dict[str, Field] = {
-    "mode": Field("str", "ankle", "body region: ankle or calcaneus"),
-    "representation": Field("str", "sixd", "rotation encoding: quaternion, euler_sincos, or sixd"),
-    "combined": Field("bool", True, "one network for all planes (true) or one per plane (false)"),
-    "out_dims": Field("int", 72, "network input side length in voxels"),
-    "out_spacing": Field("float", 2.2, "network input voxel size in mm"),
-    "alpha": Field("float", 0.5, "loss weight of the rotation term"),
-    "beta": Field("float", 0.5, "loss weight of the translation term"),
-    "gamma": Field("float", 0.0, "loss weight of the plane orthogonality term"),
-    "orthogonality_form": Field("str", "cross", "orthogonality penalty form: cross or dot"),
-    "epochs": Field("int", 400, "number of training epochs"),
-    "lr": Field("float", 0.02, "initial learning rate"),
-    "decay": Field("float", 0.5, "learning-rate decay factor"),
-    "step_size": Field("int", 150, "epochs between learning-rate decay steps"),
-    "momentum": Field("float", 0.9, "SGD momentum"),
-    "batch_size": Field("int", 8, "mini-batch size"),
-    "k": Field("int", 5, "number of cross-validation folds"),
-    "seed": Field("int", 0, "master seed for all randomness"),
-    "rot_deg": Field("float", 45.0, "augmentation rotation range, +- degrees per axis"),
-    "scale_lo": Field("float", 0.95, "augmentation scale range lower bound"),
-    "scale_hi": Field("float", 1.05, "augmentation scale range upper bound"),
-    "trans_mm": Field("float", 12.0, "augmentation translation range, +- mm per axis"),
-    "mirror_prob": Field("float", 0.5, "probability of mirroring in x direction"),
-    "intensity_lo": Field("float", 0.95, "intensity jitter factor lower bound"),
-    "intensity_hi": Field("float", 1.05, "intensity jitter factor upper bound"),
-    "channels": Field("ints", (8, 16, 32, 64, 128), "convolution channels per block"),
-    "fc_widths": Field("ints", (1024, 256), "hidden fully connected widths"),
-}
 
 
 @dataclass(frozen=True)
@@ -125,9 +95,9 @@ class ExperimentConfig:
 
     def to_values(self) -> dict:
         out = {}
-        for key in EXPERIMENT_SCHEMA:
-            val = getattr(self, key)
-            out[key] = val.value if isinstance(val, RotationKind) else val
+        for f in fields(self):
+            val = getattr(self, f.name)
+            out[f.name] = val.value if isinstance(val, RotationKind) else val
         return out
 
     @property
@@ -162,6 +132,44 @@ class ExperimentConfig:
             channels=self.channels,
             fc_widths=self.fc_widths,
         )
+
+
+_EXPERIMENT_HELP = {
+    "mode": "body region: ankle or calcaneus",
+    "representation": "rotation encoding: quaternion, euler_sincos, or sixd",
+    "combined": "one network for all planes (true) or one per plane (false)",
+    "out_dims": "network input side length in voxels",
+    "out_spacing": "network input voxel size in mm",
+    "alpha": "loss weight of the rotation term",
+    "beta": "loss weight of the translation term",
+    "gamma": "loss weight of the plane orthogonality term",
+    "orthogonality_form": "orthogonality penalty form: cross or dot",
+    "epochs": "number of training epochs",
+    "lr": "initial learning rate",
+    "decay": "learning-rate decay factor",
+    "step_size": "epochs between learning-rate decay steps",
+    "momentum": "SGD momentum",
+    "batch_size": "mini-batch size",
+    "k": "number of cross-validation folds",
+    "seed": "master seed for all randomness",
+    "rot_deg": "augmentation rotation range, +- degrees per axis",
+    "scale_lo": "augmentation scale range lower bound",
+    "scale_hi": "augmentation scale range upper bound",
+    "trans_mm": "augmentation translation range, +- mm per axis",
+    "mirror_prob": "probability of mirroring in x direction",
+    "intensity_lo": "intensity jitter factor lower bound",
+    "intensity_hi": "intensity jitter factor upper bound",
+    "channels": "convolution channels per block",
+    "fc_widths": "hidden fully connected widths",
+}
+
+# keyed by the exact type of each default, so a bool default never reads as int
+_SCHEMA_TYPES = {bool: "bool", int: "int", float: "float", str: "str", tuple: "ints"}
+
+EXPERIMENT_SCHEMA: dict[str, Field] = {
+    key: Field(_SCHEMA_TYPES[type(default)], default, _EXPERIMENT_HELP[key])
+    for key, default in ExperimentConfig().to_values().items()
+}
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +259,14 @@ class TrainResult:
     out_of_cube: int
 
 
+def _check_modes(cfg: ExperimentConfig, samples: list[Sample]) -> None:
+    for s in samples:
+        if s.entry.mode != cfg.mode:
+            raise ConfigError(
+                f"{s.entry.path}: manifest mode {s.entry.mode!r} does not match config mode {cfg.mode!r}"
+            )
+
+
 def _target_planes(sample_planes: dict[str, PlaneFrame], names) -> list[PlaneFrame]:
     return [sample_planes[n] for n in names]
 
@@ -272,6 +288,7 @@ def train(
     """
     if not samples:
         raise ValueError("no training samples")
+    _check_modes(cfg, samples)
     names = (plane,) if plane is not None else cfg.plane_names
     weights = weights if weights is not None else cfg.weights()
     if len(names) == 1 and weights.gamma > 0.0:
@@ -350,6 +367,7 @@ def evaluate(net: PlaneRegressionNet, samples: list[Sample], cfg: ExperimentConf
     stored annotations.  Undecodable predictions (possible for untrained
     networks) count with worst-case placeholder errors rather than aborting.
     """
+    _check_modes(cfg, samples)
     names = (plane,) if plane is not None else cfg.plane_names
     if net.config.n_out != len(names) * (3 + cfg.representation.length):
         raise ValueError("network output layout does not match the requested planes")

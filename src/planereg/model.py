@@ -4,8 +4,8 @@ The network is a plain feed-forward stack: five convolutional blocks
 (3x3x3 kernels, stride 1, zero padding 1, each followed by ReLU and 2x2x2
 max pooling) and three fully connected layers with a linear output head, so
 predicted encodings are free to leave [-1, 1].  There is no dropout and no
-batch statistics anywhere, which keeps single-sample and batched forward
-passes identical.
+batch statistics anywhere, so single-sample and batched forward passes agree
+to float32 rounding (einsum may sum in a different order for each batch size).
 
 Checkpoint layout (little endian throughout)::
 
@@ -22,6 +22,7 @@ Checkpoint layout (little endian throughout)::
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -275,29 +276,48 @@ def save_checkpoint(path, net: PlaneRegressionNet, extra: dict | None = None) ->
             fh.write(arr.tobytes())
 
 
+def _read_exact(fh, n: int, path) -> bytes:
+    # checked against the file size before reading, so a corrupt length field
+    # cannot ask for a huge buffer
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(f"{path}: truncated checkpoint")
+    return fh.read(n)
+
+
 def load_checkpoint(path) -> tuple[PlaneRegressionNet, dict]:
-    """Read a checkpoint; returns the reconstructed network plus the metadata."""
+    """Read a checkpoint; returns the reconstructed network plus the metadata.
+
+    A short file, trailing bytes, or a header that does not match the
+    parameters raises :class:`ValueError` naming ``path``.
+    """
     with open(path, "rb") as fh:
         if fh.read(8) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        version, hlen = struct.unpack("<II", fh.read(8))
+        version, hlen = struct.unpack("<II", _read_exact(fh, 8, path))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        meta = json.loads(fh.read(hlen).decode("utf-8"))
-        net = PlaneRegressionNet(NetworkConfig.from_dict(meta["network"]), rng=None)
+        header = _read_exact(fh, hlen, path)
+        try:
+            meta = json.loads(header.decode("utf-8"))
+            config = NetworkConfig.from_dict(meta["network"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: corrupt checkpoint header ({exc!r})") from exc
+        net = PlaneRegressionNet(config, rng=None)
         expected = dict(net.named_parameters())
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = struct.unpack("<I", _read_exact(fh, 4, path))
         if count != len(expected):
             raise ValueError(f"{path}: expected {len(expected)} parameters, found {count}")
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            data = np.frombuffer(fh.read(4 * int(np.prod(shape))), dtype="<f4").reshape(shape)
+            (nlen,) = struct.unpack("<I", _read_exact(fh, 4, path))
+            name = _read_exact(fh, nlen, path).decode("utf-8")
+            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, path))
+            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path))
             if name not in expected:
                 raise ValueError(f"{path}: unknown parameter {name!r}")
             if expected[name].data.shape != shape:
                 raise ValueError(f"{path}: shape mismatch for {name!r}")
+            data = np.frombuffer(_read_exact(fh, 4 * int(np.prod(shape)), path), dtype="<f4").reshape(shape)
             expected[name].data = data.astype(net.dtype).copy()
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last parameter")
     return net, meta.get("extra", {})

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .geometry import GeometryError, PlaneFrame
 
 HU_MIN = -1024.0
@@ -64,7 +63,8 @@ class Volume:
         sp = _as_triple(self.spacing)
         if min(sp) <= 0:
             raise ValueError("spacing must be positive")
-        if v.size and (v.min() < HU_MIN or v.max() > HU_MAX):
+        # written so that NaN, which fails every comparison, is rejected too
+        if v.size and not (v.min() >= HU_MIN and v.max() <= HU_MAX):
             raise ValueError(f"HU values outside [{HU_MIN:g}, {HU_MAX:g}]")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "spacing", sp)
@@ -121,13 +121,6 @@ def trilinear_sample(vol: Volume, points: np.ndarray) -> np.ndarray:
     nx, ny, nz = values.shape
     out_dtype = np.float64 if values.dtype == np.float64 else np.float32
 
-    if _kernels.HAVE_NUMBA and p.shape[0] >= _kernels.NUMBA_MIN_POINTS:
-        out = np.empty(p.shape[0], dtype=out_dtype)
-        sx, sy, sz = vol.spacing
-        _kernels.trilinear_gather(np.ascontiguousarray(values), sx, sy, sz, p, out, FILL_HU)
-        return out.reshape(out_shape)
-
-    # numpy fallback, same math in float64
     eps = 1e-9
     dims = np.array([nx, ny, nz], dtype=np.float64)
     spacing = np.array(vol.spacing, dtype=np.float64)
@@ -140,16 +133,17 @@ def trilinear_sample(vol: Volume, points: np.ndarray) -> np.ndarray:
     fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
     gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
 
-    flat = values.reshape(-1).astype(np.float64, copy=False)
-    base = (i0[:, 0] * ny + i0[:, 1]) * nz + i0[:, 2]
-    c000 = flat[base]
-    c001 = flat[base + 1]
-    c010 = flat[base + nz]
-    c011 = flat[base + nz + 1]
-    c100 = flat[base + ny * nz]
-    c101 = flat[base + ny * nz + 1]
-    c110 = flat[base + ny * nz + nz]
-    c111 = flat[base + ny * nz + nz + 1]
+    # gather from a flat view of the source's own memory (read_volume returns a
+    # Fortran-ordered int16 view) and widen only the gathered corners; copying
+    # and widening the whole source on every call cost more than the gather
+    src = values if values.flags.c_contiguous or values.flags.f_contiguous else np.ascontiguousarray(values)
+    flat = src.reshape(-1, order="A")
+    sx, sy, sz = (s // src.itemsize for s in src.strides)  # element strides
+    base = i0[:, 0] * sx + i0[:, 1] * sy + i0[:, 2] * sz
+    c000, c001, c010, c011, c100, c101, c110, c111 = (
+        flat[base + o].astype(np.float64, copy=False)
+        for o in (0, sz, sy, sy + sz, sx, sx + sz, sx + sy, sx + sy + sz)
+    )
 
     res = (
         gx * (gy * (gz * c000 + fz * c001) + fy * (gz * c010 + fz * c011))
@@ -166,7 +160,6 @@ def resample(vol: Volume, T: np.ndarray, out_dims, out_spacing) -> Volume:
     at ``T^-1 q``; composing any number of transforms into ``T`` beforehand
     keeps the pass count at one.
     """
-    global _INTERP_CALLS
     T = np.asarray(T, dtype=float)
     try:
         Tinv = np.linalg.inv(T)
@@ -175,18 +168,6 @@ def resample(vol: Volume, T: np.ndarray, out_dims, out_spacing) -> Volume:
 
     dims = _as_triple(out_dims, int)
     spacing = _as_triple(out_spacing)
-    if _kernels.HAVE_NUMBA:
-        _INTERP_CALLS += 1
-        out_dtype = np.float64 if vol.values.dtype == np.float64 else np.float32
-        out = np.empty(dims, dtype=out_dtype)
-        M = np.ascontiguousarray(Tinv[:3, :3])
-        t = np.ascontiguousarray(Tinv[:3, 3])
-        sx, sy, sz = vol.spacing
-        _kernels.trilinear_resample(
-            np.ascontiguousarray(vol.values), sx, sy, sz, M, t, spacing[0], spacing[1], spacing[2], out, FILL_HU
-        )
-        return Volume(values=out, spacing=spacing)
-
     axes = [
         (np.arange(n, dtype=float) - (n - 1) / 2.0) * s for n, s in zip(dims, spacing)
     ]

@@ -199,3 +199,30 @@ class TestHelpAndErrors:
             )
         assert code == 2
         assert "runtime failure" in capsys.readouterr().err
+
+    def test_manifest_mode_mismatch_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "calcaneus"
+        code = run_cli(
+            "phantom-gen", "--out", str(data), "--set", "mode=calcaneus",
+            "--set", "n_patients=1", "--set", "dims=16", "--set", "spacing=10.0",
+        )
+        assert code == 0
+        code = run_cli(
+            "train", "--manifest", str(data / "manifest.txt"), "--out", str(tmp_path / "m"),
+            *TRAIN_OVERRIDES, "--set", "mode=ankle",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'ankle'" in err and "'calcaneus'" in err
+
+    @pytest.mark.parametrize("damage", ["truncated", "trailing"])
+    def test_damaged_checkpoint_exits_1(self, dataset_dir, trained_dir, tmp_path, capsys, damage):
+        raw = (trained_dir / "checkpoint.bin").read_bytes()
+        path = tmp_path / "damaged.bin"
+        path.write_bytes(raw[: len(raw) // 2] if damage == "truncated" else raw + b"\0")
+        code = run_cli(
+            "eval", "--checkpoint", str(path), "--manifest", str(dataset_dir / "manifest.txt"),
+            "--out", str(tmp_path / "e"),
+        )
+        assert code == 1
+        assert str(path) in capsys.readouterr().err

@@ -1,10 +1,9 @@
 import os
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from planereg.config import ConfigError
+from planereg.config import ConfigError, format_config, read_config_file, resolve
 from planereg.geometry import RotationKind
 from planereg.harness import (
     DEFAULT_SEARCH_SPACE,
@@ -78,8 +77,28 @@ def synthetic_manifest(n_metal_patients, n_cadaver_patients, seed=0, vpp=2):
 
 
 class TestExperimentConfig:
-    def test_schema_matches_dataclass(self):
-        assert set(EXPERIMENT_SCHEMA) == {f.name for f in fields(ExperimentConfig)}
+    def test_schema_defaults_build_default_config(self):
+        assert ExperimentConfig.from_values(resolve(EXPERIMENT_SCHEMA)) == ExperimentConfig()
+
+    def test_config_file_round_trip(self, tmp_path):
+        cfg = ExperimentConfig(
+            mode="calcaneus",
+            representation=RotationKind.QUATERNION,
+            combined=False,
+            out_dims=33,
+            out_spacing=0.1 + 0.2,
+            orthogonality_form="dot",
+            epochs=7,
+            lr=1.0 / 3.0,
+            channels=(4, 6),
+            fc_widths=(12,),
+        )
+        default = ExperimentConfig().to_values()
+        changed = {key for key, val in cfg.to_values().items() if val != default[key]}
+        assert {EXPERIMENT_SCHEMA[key].type for key in changed} == {"bool", "int", "float", "str", "ints"}
+        path = tmp_path / "run.lock"
+        path.write_text(format_config(cfg.to_values()))
+        assert ExperimentConfig.from_values(resolve(EXPERIMENT_SCHEMA, read_config_file(path))) == cfg
 
     def test_values_round_trip(self):
         cfg = tiny_config(representation=RotationKind.QUATERNION, gamma=0.0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -247,30 +249,12 @@ class TestEngineOps:
         with pytest.raises(RuntimeError):
             engine.tsum(out).backward()
 
-    def test_conv_backends_agree(self):
-        from planereg import _kernels
-
-        if not _kernels.HAVE_NUMBA:
-            pytest.skip("numba unavailable")
-        rng = np.random.default_rng(8)
-        # 16^3 is above the numba threshold, so both paths are exercised
-        x = rng.standard_normal((2, 3, 16, 16, 16))
-        w = rng.standard_normal((5, 3, 3, 3, 3))
-        b = rng.standard_normal(5)
-        g = rng.standard_normal((2, 5, 16, 16, 16))
-        fast = _kernels.conv3d_forward(x, w, b)
-        slow = _kernels._conv3d_fwd_np(_kernels._pad1(x), w, b)
-        assert np.max(np.abs(fast - slow)) < 1e-10
-        gx1, gw1, gb1 = _kernels.conv3d_backward(x, w, g)
-        gw2 = _kernels._conv3d_grad_w_np(_kernels._pad1(x), g)
-        assert np.max(np.abs(gw1 - gw2)) < 1e-9
-
-    def test_maxpool_backends_agree(self):
+    def test_maxpool_matches_block_max(self):
         from planereg import _kernels
 
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 3, 7, 6, 5))  # odd dims exercise cropping
-        out_fast, idx_fast = _kernels.maxpool3d_forward(x)
+        out, idx = _kernels.maxpool3d_forward(x)
         B, C, D, H, W = x.shape
         blocks = (
             x[:, :, :6, :6, :4]
@@ -278,9 +262,9 @@ class TestEngineOps:
             .transpose(0, 1, 2, 4, 6, 3, 5, 7)
             .reshape(B, C, 3, 3, 2, 8)
         )
-        assert np.array_equal(out_fast, blocks.max(axis=-1))
-        g = rng.standard_normal(out_fast.shape)
-        gx = _kernels.maxpool3d_backward(x.shape, idx_fast, g)
+        assert np.array_equal(out, blocks.max(axis=-1))
+        g = rng.standard_normal(out.shape)
+        gx = _kernels.maxpool3d_backward(x.shape, idx, g)
         assert gx.shape == x.shape
         assert np.allclose(gx.sum(), g.sum())
         # gradient lands only on maximal entries
@@ -352,4 +336,26 @@ class TestCheckpoint:
         path = tmp_path / "ck.bin"
         path.write_bytes(b"NOTACKPT" + b"\0" * 32)
         with pytest.raises(ValueError, match="not a checkpoint"):
+            load_checkpoint(path)
+
+    def test_truncated_rejected(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, _tiny_net(seed=11))
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: truncated checkpoint"):
+            load_checkpoint(path)
+
+    def test_corrupt_header_rejected(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, _tiny_net(seed=11))
+        path.write_bytes(path.read_bytes().replace(b'"network"', b'"networx"', 1))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: corrupt checkpoint header"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, _tiny_net(seed=11))
+        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: trailing bytes"):
             load_checkpoint(path)

@@ -50,6 +50,10 @@ class TestVolumeType:
         with pytest.raises(ValueError):
             Volume(values=np.full((8, 8, 8), 4000, dtype=np.int16), spacing=(1, 1, 1))
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            Volume(values=np.full((2, 2, 2), np.nan), spacing=1.0)
+
     def test_extent(self):
         v = constant_volume(dims=(64, 64, 64), spacing=2.5)
         assert v.extent_mm == (160.0, 160.0, 160.0)
@@ -149,18 +153,29 @@ class TestResample:
         resample(v, np.eye(4), 8, 1.0)
         assert interpolation_call_count() == 1
 
-    def test_matches_numpy_fallback(self, monkeypatch):
-        from planereg import _kernels
-
-        rng = np.random.default_rng(4)
-        v = Volume(values=rng.uniform(-500, 2500, size=(14, 14, 14)), spacing=(2.0,) * 3)
+    def test_rigid_transform_reproduces_affine_field(self):
+        # trilinear interpolation is exact on an affine field, so every output
+        # voxel whose source point lies inside the voxel-center hull must equal
+        # the field there; integer coefficients make the int16 copy exact too
+        v, (a0, a1, a2, a3) = affine_field_volume(spacing=(1.0, 1.0, 1.0), coeffs=(100.0, 4.0, -2.0, 2.0))
         T = compose_transforms(
             [rotation_transform(rotation_about_axis([1, 1, 0], 0.4)), translation_transform([2, -1, 3])]
         )
-        fast = resample(v, T, 16, 1.8)
-        monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
-        slow = resample(v, T, 16, 1.8)
-        assert np.max(np.abs(fast.values - slow.values)) < 1e-9
+        Tinv = np.linalg.inv(T)
+        half = (np.array(v.dims) - 1) / 2.0 * np.array(v.spacing)
+        # the int16 copy is Fortran-ordered, as read_volume returns it
+        for values in (v.values, np.asfortranarray(v.values.astype(np.int16))):
+            out = resample(Volume(values=values, spacing=v.spacing), T, 16, 1.8)
+            gx, gy, gz = np.meshgrid(*out.axis_coords(), indexing="ij")
+            q = np.stack([gx, gy, gz], axis=-1)
+            src = q @ Tinv[:3, :3].T + Tinv[:3, 3]
+            want = a0 + a1 * src[..., 0] + a2 * src[..., 1] + a3 * src[..., 2]
+            inside = np.all(np.abs(src) <= half - 1e-6, axis=-1)
+            outside = np.any(np.abs(src) >= half + 1e-6, axis=-1)
+            assert inside.sum() > 1000 and outside.any()
+            err = np.abs(out.values[inside] - want[inside]) / np.abs(want[inside])
+            assert np.max(err) < 64 * np.finfo(out.values.dtype).eps
+            assert np.all(out.values[outside] == FILL_HU)
 
 
 class TestIntensityPipeline:
