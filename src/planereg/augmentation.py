@@ -15,8 +15,7 @@ sub-keys so per-sample generators are reproducible regardless of scheduling.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,11 +38,6 @@ from .geometry import (
     translation_transform,
 )
 from .volume import Volume, WindowConfig, intensity_pipeline, resample
-
-logger = logging.getLogger(__name__)
-
-# matching (dims, mm/voxel) rows used by the resolution comparison
-RESOLUTION_PRESETS = {64: 2.5, 72: 2.2, 128: 1.2}
 
 _STREAM_IDS = {"spatial": 0, "intensity": 1, "mirror": 2}
 
@@ -213,9 +207,7 @@ def augment_sample(
     target = encode_plane_targets(moved, kind, cfg.extent_mm)
 
     out = any(np.any(np.abs(normalize_translation(p.A, cfg.extent_mm)) > 0.5) for p in moved)
-    if out:
-        _out_of_cube += 1
-        logger.warning("augmented plane center left the normalized cube (count=%d)", _out_of_cube)
+    _out_of_cube += int(out)
     return AugmentedSample(
         image=image,
         planes=moved,

@@ -9,21 +9,23 @@ Every run resolves its configuration from defaults, an optional ``--config``
 file, and ``--set key=value`` overrides (unknown keys are rejected), then
 writes the fully resolved values plus seed as a ``run.lock`` file next to its
 artifacts; re-running the same command with ``--config run.lock`` reproduces
-the artifacts bit for bit.  Exit codes: 0 success, 1 validation error
-(malformed config, missing file), 2 runtime failure.
+the artifacts bit for bit.  The ``phantom-gen`` config keys are
+:func:`planereg.phantom.generate_dataset`'s keyword parameters, with its
+defaults; the experiment keys are the fields of
+:class:`planereg.harness.ExperimentConfig`.  Exit codes: 0 success, 1
+validation error (malformed config, missing file), 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import os
 import sys
 
-import numpy as np
-
 from .augmentation import center_input, decode_plane_vector
-from .config import ConfigError, Field, format_config, read_config_file, resolve, write_lock_file
+from .config import ConfigError, Field, read_config_file, resolve, schema, write_lock_file
 from .geometry import GeometryError, read_plane_file, write_plane_file
 from .harness import (
     EXPERIMENT_SCHEMA,
@@ -32,26 +34,31 @@ from .harness import (
     cross_validate,
     evaluate,
     load_samples,
+    load_trained,
     train,
 )
 from .loss_metrics import rows_to_csv, write_report
-from .model import load_checkpoint
-from .phantom import PLANE_NAMES, generate_dataset
+from .phantom import generate_dataset
 from .volume import extract_mpr_slice, read_volume, write_pgm
 
-PHANTOM_SCHEMA: dict[str, Field] = {
-    "n_patients": Field("int", 20, "number of distinct patients"),
-    "volumes_per_patient": Field("int", 2, "volumes generated per patient"),
-    "mode": Field("str", "ankle", "body region: ankle or calcaneus"),
-    "dims": Field("int", 64, "volume side length in voxels"),
-    "spacing": Field("float", 2.5, "voxel size in mm"),
-    "metal_fraction": Field("float", 0.5, "fraction of patients with implants (class metal)"),
-    "trunc_lo": Field("float", 1.0, "lower bound of the retained-volume fraction"),
-    "trunc_hi": Field("float", 1.0, "upper bound of the retained-volume fraction"),
-    "pose_rot_deg": Field("float", 45.0, "anatomy pose rotation range, +- degrees per axis"),
-    "pose_trans_mm": Field("float", 15.0, "anatomy pose translation range, +- mm per axis"),
-    "seed": Field("int", 0, "dataset generation seed"),
+_PHANTOM_HELP = {
+    "n_patients": "number of distinct patients",
+    "volumes_per_patient": "volumes generated per patient",
+    "mode": "body region: ankle or calcaneus",
+    "dims": "volume side length in voxels",
+    "spacing": "voxel size in mm",
+    "metal_fraction": "fraction of patients with implants (class metal)",
+    "trunc_lo": "lower bound of the retained-volume fraction",
+    "trunc_hi": "upper bound of the retained-volume fraction",
+    "pose_rot_deg": "anatomy pose rotation range, +- degrees per axis",
+    "pose_trans_mm": "anatomy pose translation range, +- mm per axis",
+    "seed": "dataset generation seed",
 }
+
+PHANTOM_SCHEMA: dict[str, Field] = schema(
+    {n: p.default for n, p in inspect.signature(generate_dataset).parameters.items() if n != "out_dir"},
+    _PHANTOM_HELP,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,26 +114,14 @@ def _parse_folds(text: str | None):
 
 def _cmd_phantom_gen(args) -> None:
     values = _resolve(PHANTOM_SCHEMA, args)
-    entries = generate_dataset(
-        args.out,
-        n_patients=values["n_patients"],
-        volumes_per_patient=values["volumes_per_patient"],
-        mode=values["mode"],
-        seed=values["seed"],
-        dims=values["dims"],
-        spacing=values["spacing"],
-        metal_fraction=values["metal_fraction"],
-        truncation_range=(values["trunc_lo"], values["trunc_hi"]),
-        pose_rot_deg=values["pose_rot_deg"],
-        pose_trans_mm=values["pose_trans_mm"],
-    )
+    entries = generate_dataset(args.out, **values)
     _lock(args.out, values, directory=True)
     print(f"wrote {len(entries)} volumes to {args.out}")
 
 
 def _cmd_train(args) -> None:
     values = _resolve(EXPERIMENT_SCHEMA, args)
-    cfg = ExperimentConfig.from_values(values)
+    cfg = ExperimentConfig(**values)
     samples = load_samples(args.manifest)
     os.makedirs(args.out, exist_ok=True)
     result = train(cfg, samples, checkpoint_path=os.path.join(args.out, "checkpoint.bin"))
@@ -140,21 +135,20 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    net, extra = load_checkpoint(args.checkpoint)
-    cfg = ExperimentConfig.from_values(extra["experiment"])
-    plane = extra.get("plane") or None
+    net, cfg, plane = load_trained(args.checkpoint)
     samples = load_samples(args.manifest)
     ev = evaluate(net, samples, cfg, plane=plane)
     os.makedirs(args.out, exist_ok=True)
     write_report(os.path.join(args.out, "report.csv"), ev.rows())
-    _lock(args.out, extra["experiment"], directory=True)
+    _lock(args.out, cfg.to_values(), directory=True)
     print(rows_to_csv(ev.rows()), end="")
+    print(f"preprocessing time per volume: {ev.mean_preprocess_s:.4f} s")
     print(f"inference time per volume: {ev.mean_inference_s:.4f} s")
 
 
 def _cmd_xval(args) -> None:
     values = _resolve(EXPERIMENT_SCHEMA, args)
-    cfg = ExperimentConfig.from_values(values)
+    cfg = ExperimentConfig(**values)
     rows = cross_validate(cfg, args.manifest, args.out, folds=_parse_folds(args.folds), jobs=args.jobs)
     _lock(args.out, values, directory=True)
     for fold, row in enumerate(rows):
@@ -163,7 +157,7 @@ def _cmd_xval(args) -> None:
 
 def _cmd_ablate(args) -> None:
     values = _resolve(EXPERIMENT_SCHEMA, args)
-    cfg = ExperimentConfig.from_values(values)
+    cfg = ExperimentConfig(**values)
     path = ablation_driver(args.axis, cfg, args.manifest, args.out, folds=_parse_folds(args.folds), jobs=args.jobs)
     _lock(args.out, values, directory=True)
     with open(path, "r", encoding="ascii") as fh:
@@ -171,15 +165,13 @@ def _cmd_ablate(args) -> None:
 
 
 def _cmd_infer(args) -> None:
-    net, extra = load_checkpoint(args.checkpoint)
-    cfg = ExperimentConfig.from_values(extra["experiment"])
-    plane = extra.get("plane") or None
-    names = (plane,) if plane else PLANE_NAMES[cfg.mode]
+    net, cfg, plane = load_trained(args.checkpoint)
+    names = (plane,) if plane else cfg.plane_names
     vol = read_volume(args.volume)
     pred = net.predict(center_input(vol, cfg.out_dims, cfg.out_spacing))
     frames = decode_plane_vector(pred, cfg.representation, cfg.extent_mm)
     write_plane_file(args.out, dict(zip(names, frames)))
-    _lock(args.out, extra["experiment"], directory=False)
+    _lock(args.out, cfg.to_values(), directory=False)
     print(f"wrote {len(frames)} planes to {args.out}")
 
 

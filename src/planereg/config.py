@@ -4,25 +4,36 @@ Config files hold one ``key = value`` per line with ``#`` comments.  Every
 run resolves its configuration against a typed schema (file values first,
 then ``--set key=value`` overrides); unknown keys are rejected, and the fully
 resolved result is written next to the run artifacts as ``run.lock`` so any
-run can be reproduced from that single file.
+run can be reproduced from that single file.  A schema takes its defaults
+from the dataclass or function it configures, and each key's type from its
+default, so neither is written twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 
 
 class ConfigError(ValueError):
     """A configuration file or override is malformed."""
 
 
+# keyed by the exact type of a default, so a bool default never reads as int
+_TYPE_NAMES = {bool: "bool", int: "int", float: "float", str: "str", tuple: "ints"}
+
+
 @dataclass(frozen=True)
 class Field:
-    """One schema entry: value type, default, and help text."""
+    """One schema entry: default and help text; the value type (int, float,
+    bool, str, or ints for a tuple) is the exact type of the default."""
 
-    type: str  # int | float | bool | str | ints
     default: object
     help: str
+
+    @property
+    def type(self) -> str:
+        return _TYPE_NAMES[type(self.default)]
 
     def parse(self, key: str, text: str):
         text = text.strip()
@@ -42,6 +53,23 @@ class Field:
             return text
         except ValueError as exc:
             raise ConfigError(f"key `{key}`: cannot parse {text!r} as {self.type}") from exc
+
+
+def schema(defaults: dict, help: dict[str, str]) -> dict[str, Field]:
+    """Schema of ``defaults`` in key order; raises ``ValueError`` unless every
+    key has exactly one help text, so an undocumented key fails at import."""
+    if defaults.keys() != help.keys():
+        raise ValueError(f"schema keys and help keys differ: {sorted(defaults.keys() ^ help.keys())}")
+    return {key: Field(default, help[key]) for key, default in defaults.items()}
+
+
+def field_values(config) -> dict:
+    """A config dataclass's fields by name, with enum members as their values."""
+    out = {}
+    for f in fields(config):
+        val = getattr(config, f.name)
+        out[f.name] = val.value if isinstance(val, Enum) else val
+    return out
 
 
 def _format_value(value) -> str:

@@ -16,7 +16,7 @@ an array of shape ``(..., 3, 3)`` encodes to ``(..., k)`` and back.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -391,12 +391,6 @@ def compose_transforms(transforms) -> np.ndarray:
     for T in transforms:
         out = np.asarray(T, dtype=float) @ out
     return out
-
-
-def apply_transform_point(T: np.ndarray, p) -> np.ndarray:
-    """Apply a homogeneous transform to one point or a stack of points."""
-    p = np.asarray(p, dtype=float)
-    return p @ np.asarray(T, dtype=float)[:3, :3].T + T[:3, 3]
 
 
 def transform_plane(T: np.ndarray, p: PlaneFrame) -> PlaneFrame:

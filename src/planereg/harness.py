@@ -13,19 +13,12 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .augmentation import (
-    AugmentConfig,
-    SeededRng,
-    augment_sample,
-    center_input,
-    decode_plane_vector,
-    encode_plane_targets,
-)
-from .config import ConfigError, Field
+from .augmentation import AugmentConfig, SeededRng, augment_sample, center_input, decode_plane_vector
+from .config import ConfigError, Field, field_values, schema
 from .geometry import DegenerateEncodingError, PlaneFrame, RotationKind, read_plane_file
 from .loss_metrics import (
     LossWeights,
@@ -36,9 +29,8 @@ from .loss_metrics import (
     loss_graph,
     plane_errors,
     rows_to_csv,
-    score,
 )
-from .model import NetworkConfig, PlaneRegressionNet, SGDMomentum, save_checkpoint, step_decay
+from .model import NetworkConfig, PlaneRegressionNet, SGDMomentum, load_checkpoint, save_checkpoint, step_decay
 from .phantom import PLANE_NAMES, ManifestEntry, read_manifest
 from .volume import Volume, read_volume
 
@@ -86,19 +78,13 @@ class ExperimentConfig:
         if self.mode not in PLANE_NAMES:
             raise ConfigError(f"mode must be one of {sorted(PLANE_NAMES)}")
         object.__setattr__(self, "representation", RotationKind(self.representation))
+        object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
+        object.__setattr__(self, "fc_widths", tuple(int(w) for w in self.fc_widths))
         if not self.combined and self.gamma > 0.0:
             raise ConfigError("per-plane networks cannot use an orthogonality weight")
 
-    @classmethod
-    def from_values(cls, values: dict) -> "ExperimentConfig":
-        return cls(**values)
-
     def to_values(self) -> dict:
-        out = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            out[f.name] = val.value if isinstance(val, RotationKind) else val
-        return out
+        return field_values(self)
 
     @property
     def plane_names(self) -> tuple[str, ...]:
@@ -163,13 +149,7 @@ _EXPERIMENT_HELP = {
     "fc_widths": "hidden fully connected widths",
 }
 
-# keyed by the exact type of each default, so a bool default never reads as int
-_SCHEMA_TYPES = {bool: "bool", int: "int", float: "float", str: "str", tuple: "ints"}
-
-EXPERIMENT_SCHEMA: dict[str, Field] = {
-    key: Field(_SCHEMA_TYPES[type(default)], default, _EXPERIMENT_HELP[key])
-    for key, default in ExperimentConfig().to_values().items()
-}
+EXPERIMENT_SCHEMA: dict[str, Field] = schema(ExperimentConfig().to_values(), _EXPERIMENT_HELP)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +318,39 @@ def train(
             epoch_losses.append(value)
         curve.append(float(np.mean(epoch_losses)))
         logger.info("epoch %d/%d: lr %.5f, mean loss %.5f", epoch + 1, cfg.epochs, opt.lr, curve[-1])
+    if out_of_cube:
+        n = cfg.epochs * len(samples)
+        logger.warning("%d of %d augmented samples put a plane center outside the normalized cube", out_of_cube, n)
 
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, net, extra={"experiment": cfg.to_values(), "plane": plane or ""})
     return TrainResult(net=net, loss_curve=curve, out_of_cube=out_of_cube)
+
+
+def load_trained(path) -> tuple[PlaneRegressionNet, ExperimentConfig, str | None]:
+    """Network, experiment config and plane (None: all planes) of a checkpoint
+    that :func:`train` wrote.
+
+    Raises ``ValueError`` naming ``path`` when the checkpoint carries no
+    experiment config, the stored values do not build one, the plane is not
+    one of the config's planes, or the network is not the one ``train``
+    builds from the config (a 6D network decoded as Euler pairs, say).
+    """
+    net, extra = load_checkpoint(path)
+    values = extra.get("experiment") if isinstance(extra, dict) else None
+    if not isinstance(values, dict):
+        raise ValueError(f"{path}: checkpoint carries no experiment config")
+    plane = extra.get("plane") or None
+    try:
+        cfg = ExperimentConfig(**values)
+        expected = cfg.network_config(n_planes=len(cfg.plane_names) if plane is None else 1)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: invalid experiment config ({exc})") from exc
+    if plane is not None and plane not in cfg.plane_names:
+        raise ValueError(f"{path}: plane {plane!r} is not one of the {cfg.mode} planes {cfg.plane_names}")
+    if net.config != expected:
+        raise ValueError(f"{path}: network {net.config.to_dict()} differs from its config's {expected.to_dict()}")
+    return net, cfg, plane
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +359,11 @@ def train(
 
 @dataclass
 class EvalResult:
+    """Per-plane errors and mean per-volume seconds of the center resample and the network."""
+
     errors_by_plane: dict[str, list[PlaneErrors]]
     mean_inference_s: float
+    mean_preprocess_s: float
 
     def rows(self) -> list[ReportRow]:
         return aggregate_errors(self.errors_by_plane, per_plane=True)
@@ -372,12 +384,14 @@ def evaluate(net: PlaneRegressionNet, samples: list[Sample], cfg: ExperimentConf
     if net.config.n_out != len(names) * (3 + cfg.representation.length):
         raise ValueError("network output layout does not match the requested planes")
     errors: dict[str, list[PlaneErrors]] = {n: [] for n in names}
-    times = []
+    prep_times, times = [], []
     for s in samples:
-        x = center_input(s.volume, cfg.out_dims, cfg.out_spacing)
         t0 = time.perf_counter()
+        x = center_input(s.volume, cfg.out_dims, cfg.out_spacing)
+        t1 = time.perf_counter()
         pred = net.predict(x)
-        times.append(time.perf_counter() - t0)
+        times.append(time.perf_counter() - t1)
+        prep_times.append(t1 - t0)
         for i, name in enumerate(names):
             per = 3 + cfg.representation.length
             vec = pred[i * per : (i + 1) * per]
@@ -387,8 +401,9 @@ def evaluate(net: PlaneRegressionNet, samples: list[Sample], cfg: ExperimentConf
             except DegenerateEncodingError:
                 errors[name].append(PlaneErrors(d=cfg.extent_mm / 2.0, eps_n=90.0, eps_i=90.0))
     mean_s = float(np.mean(times)) if times else 0.0
-    logger.info("inference time per volume: %.4f s", mean_s)
-    return EvalResult(errors_by_plane=errors, mean_inference_s=mean_s)
+    prep_s = float(np.mean(prep_times)) if prep_times else 0.0
+    logger.info("preprocessing time per volume: %.4f s, inference time per volume: %.4f s", prep_s, mean_s)
+    return EvalResult(errors_by_plane=errors, mean_inference_s=mean_s, mean_preprocess_s=prep_s)
 
 
 def train_eval_fold(
@@ -414,7 +429,7 @@ def train_eval_fold(
     results: list[TrainResult] = []
     if scheme == "three":
         merged: dict[str, list[PlaneErrors]] = {}
-        times = []
+        times, prep_times = [], []
         for plane in cfg.plane_names:
             preset_key = "three_coronal" if plane in ("coronal", "semicoronal") else f"three_{plane}"
             sub_cfg = replace(cfg, combined=False, gamma=0.0)
@@ -423,7 +438,8 @@ def train_eval_fold(
             ev = evaluate(tr.net, test_samples, sub_cfg, plane=plane)
             merged.update(ev.errors_by_plane)
             times.append(ev.mean_inference_s)
-        return EvalResult(errors_by_plane=merged, mean_inference_s=float(np.sum(times))), results
+            prep_times.append(ev.mean_preprocess_s)
+        return EvalResult(merged, float(np.sum(times)), float(np.sum(prep_times))), results
 
     if scheme == "config":
         weights = cfg.weights()
@@ -566,38 +582,27 @@ def _summarize(cell: str, fold_rows: list[ReportRow]) -> str:
     )
 
 
-def _fold_worker(cfg_values: dict, manifest_path: str, fold: int, scheme: str):
-    """Self-contained fold job (also used by worker processes)."""
-    cfg = ExperimentConfig.from_values(cfg_values)
-    samples = load_samples(manifest_path)
-    assignment = split_kfold_grouped([s.entry for s in samples], cfg.k, cfg.seed)
-    ev, _ = train_eval_fold(cfg, samples, assignment, fold, scheme=scheme)
-    serialized = {
-        name: [(e.d, e.eps_n, e.eps_i) for e in errs] for name, errs in ev.errors_by_plane.items()
-    }
-    return fold, serialized, ev.mean_inference_s
+def _eval_fold(cfg: ExperimentConfig, samples: list[Sample], assignment: FoldAssignment, scheme: str, fold: int) -> EvalResult:
+    """One fold job (also run in worker processes); ``train_eval_fold`` is
+    looked up at call time, so a wrapper patched onto it sees every fold."""
+    return train_eval_fold(cfg, samples, assignment, fold, scheme=scheme)[0]
 
 
-def _run_folds(cfg: ExperimentConfig, manifest_path, folds: list[int], scheme: str, jobs: int) -> dict[int, EvalResult]:
+def _run_folds(cfg: ExperimentConfig, samples: list[Sample], folds: list[int], scheme: str, jobs: int) -> dict[int, EvalResult]:
     """Run independent fold jobs, optionally in parallel worker processes.
 
     Each fold derives all randomness from the master seed alone, so the
     results are identical whatever the job count or scheduling.
     """
-    values = cfg.to_values()
-    path = os.fspath(manifest_path)
-    results: dict[int, EvalResult] = {}
+    assignment = split_kfold_grouped([s.entry for s in samples], cfg.k, cfg.seed)
     if jobs <= 1 or len(folds) <= 1:
-        outputs = [_fold_worker(values, path, fold, scheme) for fold in folds]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+        return {fold: _eval_fold(cfg, samples, assignment, scheme, fold) for fold in folds}
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(_fold_worker, *zip(*[(values, path, f, scheme) for f in folds])))
-    for fold, serialized, mean_s in outputs:
-        errors = {name: [PlaneErrors(*t) for t in triples] for name, triples in serialized.items()}
-        results[fold] = EvalResult(errors_by_plane=errors, mean_inference_s=mean_s)
-    return results
+    n = len(folds)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        results = pool.map(_eval_fold, [cfg] * n, [samples] * n, [assignment] * n, [scheme] * n, folds)
+        return dict(zip(folds, results))
 
 
 def cross_validate(
@@ -615,7 +620,7 @@ def cross_validate(
     """
     folds = list(range(cfg.k)) if folds is None else list(folds)
     os.makedirs(out_dir, exist_ok=True)
-    results = _run_folds(cfg, manifest_path, folds, scheme, jobs)
+    results = _run_folds(cfg, load_samples(manifest_path), folds, scheme, jobs)
     mean_rows = []
     for fold in folds:
         fold_dir = os.path.join(out_dir, f"fold{fold}")
@@ -640,7 +645,6 @@ def ablation_driver(
     manifest_path,
     out_dir,
     folds: list[int] | None = None,
-    resolutions: list[tuple[int, float]] | None = None,
     jobs: int = 1,
 ) -> str:
     """Run one ablation axis cross-validated and emit a mean/std CSV.
@@ -653,9 +657,10 @@ def ablation_driver(
         raise ValueError(f"unknown ablation axis {which!r}")
     folds = list(range(cfg.k)) if folds is None else list(folds)
     os.makedirs(out_dir, exist_ok=True)
+    samples = load_samples(manifest_path)
 
     lines = [SUMMARY_HEADER]
-    for cell in ABLATION_AXES[which] if which != "resolution" else (resolutions or ABLATION_AXES["resolution"]):
+    for cell in ABLATION_AXES[which]:
         if which == "representation":
             cell_cfg = replace(cfg, representation=cell)
             label, scheme = cell.value, "config"
@@ -666,7 +671,7 @@ def ablation_driver(
         else:
             cell_cfg = cfg
             label, scheme = cell, cell
-        results = _run_folds(cell_cfg, manifest_path, folds, scheme, jobs)
+        results = _run_folds(cell_cfg, samples, folds, scheme, jobs)
         fold_rows = [results[fold].mean_row() for fold in folds]
         for fold in folds:
             _atomic_write(

@@ -21,7 +21,6 @@ scalar score ``0.2 d + 0.6 eps_n + 0.2 eps_i``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -24,11 +24,12 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import engine
+from .config import field_values
 from .engine import Tensor
 from .geometry import RotationKind
 
@@ -94,25 +95,14 @@ class NetworkConfig:
         return total
 
     def to_dict(self) -> dict:
-        return {
-            "representation": self.representation.value,
-            "n_planes": self.n_planes,
-            "combined": self.combined,
-            "in_dims": self.in_dims,
-            "channels": list(self.channels),
-            "fc_widths": list(self.fc_widths),
-        }
+        return field_values(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkConfig":
-        return cls(
-            representation=RotationKind(d["representation"]),
-            n_planes=int(d["n_planes"]),
-            combined=bool(d["combined"]),
-            in_dims=int(d["in_dims"]),
-            channels=tuple(d["channels"]),
-            fc_widths=tuple(d["fc_widths"]),
-        )
+        names = {f.name for f in fields(cls)}
+        if not isinstance(d, dict) or d.keys() != names:
+            raise ValueError(f"network config needs exactly the keys {sorted(names)}")
+        return cls(**d)
 
 
 def he_init(shape, fan_in: int, rng: np.random.Generator, dtype=np.float32) -> np.ndarray:

@@ -25,7 +25,7 @@ construction.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,24 +271,30 @@ def _draw_pose(rng: np.random.Generator, rot_deg: float, trans_mm: float) -> np.
 
 def generate_dataset(
     out_dir,
-    n_patients: int,
+    *,
+    n_patients: int = 20,
     volumes_per_patient: int = 2,
     mode: str = "ankle",
-    seed: int = 0,
     dims: int = 64,
     spacing: float = 2.5,
     metal_fraction: float = 0.5,
-    truncation_range: tuple[float, float] = (1.0, 1.0),
+    trunc_lo: float = 1.0,
+    trunc_hi: float = 1.0,
     pose_rot_deg: float = 45.0,
     pose_trans_mm: float = 15.0,
+    seed: int = 0,
 ) -> list[ManifestEntry]:
     """Generate a phantom dataset and write `manifest.txt` into ``out_dir``.
 
     A ``metal_fraction`` share of the patients models the clinical case (all
     volumes carry implants, class ``metal``); every other patient models a
     cadaver scanned repeatedly, its volumes alternating between ``no_metal``
-    and ``metal_outside`` (instruments laid on top).  Re-running with the
-    same arguments reproduces every file bit for bit.
+    and ``metal_outside`` (instruments laid on top).  Each volume keeps a
+    central slab of its z extent, the retained fraction drawn uniformly from
+    ``[trunc_lo, trunc_hi]`` (1.0 keeps the whole volume); the cut-off part
+    reads -1024 HU.  Re-running with the same arguments reproduces every file
+    bit for bit.  The keyword parameters are the ``phantom-gen`` config keys,
+    and their defaults are that command's defaults.
     """
     if mode not in PLANE_NAMES:
         raise ValueError(f"mode must be one of {sorted(PLANE_NAMES)}")
@@ -320,7 +326,7 @@ def generate_dataset(
                 pose=_draw_pose(vrng, pose_rot_deg, pose_trans_mm),
                 metal=origin_class == "metal",
                 metal_outside=origin_class == "metal_outside",
-                truncation=float(vrng.uniform(*truncation_range)),
+                truncation=float(vrng.uniform(trunc_lo, trunc_hi)),
                 **params,
             )
             vol, planes = generate_phantom(spec, dims, spacing, mrng)

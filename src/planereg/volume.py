@@ -9,10 +9,9 @@ endian int16 samples, x-fastest.
 
 from __future__ import annotations
 
-import io
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

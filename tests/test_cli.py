@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from planereg.config import (
     format_config,
     read_config_file,
     resolve,
+    schema,
 )
-from planereg.geometry import read_plane_file
-from planereg.harness import EXPERIMENT_SCHEMA
+from planereg.geometry import RotationKind, read_plane_file
+from planereg.harness import EXPERIMENT_SCHEMA, ExperimentConfig
+from planereg.model import PlaneRegressionNet, save_checkpoint
 
 
 def run_cli(*args) -> int:
@@ -50,7 +53,7 @@ def trained_dir(dataset_dir, tmp_path_factory):
 
 class TestConfigFormat:
     def test_round_trip(self, tmp_path):
-        schema = {"a": Field("int", 1, "an int"), "b": Field("float", 0.5, "a float"), "c": Field("bool", True, "flag")}
+        schema = {"a": Field(1, "an int"), "b": Field(0.5, "a float"), "c": Field(True, "flag")}
         values = resolve(schema, None, {"a": "7", "c": "false"})
         path = tmp_path / "c.cfg"
         path.write_text(format_config(values))
@@ -59,11 +62,11 @@ class TestConfigFormat:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
-            resolve({"a": Field("int", 1, "")}, None, {"bogus": "1"})
+            resolve({"a": Field(1, "")}, None, {"bogus": "1"})
 
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError, match="`a`"):
-            resolve({"a": Field("int", 1, "")}, None, {"a": "xyz"})
+            resolve({"a": Field(1, "")}, None, {"a": "xyz"})
 
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -76,8 +79,13 @@ class TestConfigFormat:
         path.write_text("# comment\nx = 5  # inline\n")
         assert read_config_file(path) == {"x": "5"}
 
+    @pytest.mark.parametrize("help", [{"a": "an int"}, {"a": "an int", "b": "a float", "c": "extra"}])
+    def test_schema_needs_help_for_every_key(self, help):
+        with pytest.raises(ValueError, match="help"):
+            schema({"a": 1, "b": 0.5}, help)
+
     def test_ints_parsing(self):
-        schema = {"ch": Field("ints", (1, 2), "")}
+        schema = {"ch": Field((1, 2), "")}
         assert resolve(schema, None, {"ch": "8,16,32"}) == {"ch": (8, 16, 32)}
 
 
@@ -110,7 +118,7 @@ class TestTrainEvalInfer:
         values = resolve(EXPERIMENT_SCHEMA, read_config_file(trained_dir / "run.lock"), None)
         assert values["out_dims"] == 16 and values["epochs"] == 1
 
-    def test_eval_writes_report(self, dataset_dir, trained_dir, tmp_path):
+    def test_eval_writes_report(self, dataset_dir, trained_dir, tmp_path, capsys):
         out = tmp_path / "eval"
         code = run_cli(
             "eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
@@ -120,6 +128,17 @@ class TestTrainEvalInfer:
         report = (out / "report.csv").read_text().strip().split("\n")
         assert report[0] == "plane,d_mm,eps_n_deg,eps_i_deg,score"
         assert len(report) == 5  # three planes + mean
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-2].startswith("preprocessing time per volume: ")
+        assert printed[-1].startswith("inference time per volume: ")
+
+    def test_eval_and_infer_lock_the_training_config(self, dataset_dir, trained_dir, tmp_path):
+        ckpt = str(trained_dir / "checkpoint.bin")
+        assert run_cli("eval", "--checkpoint", ckpt, "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(tmp_path / "e")) == 0
+        assert run_cli("infer", "--checkpoint", ckpt, "--volume", str(dataset_dir / "vol_p000_v0.vhdr"), "--out", str(tmp_path / "p.planes")) == 0
+        train_lock = (trained_dir / "run.lock").read_bytes()
+        assert (tmp_path / "e" / "run.lock").read_bytes() == train_lock
+        assert (tmp_path / "p.planes.run.lock").read_bytes() == train_lock
 
     def test_infer_emits_plane_file(self, dataset_dir, trained_dir, tmp_path):
         out_file = tmp_path / "pred.planes"
@@ -224,5 +243,18 @@ class TestHelpAndErrors:
             "eval", "--checkpoint", str(path), "--manifest", str(dataset_dir / "manifest.txt"),
             "--out", str(tmp_path / "e"),
         )
+        assert code == 1
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    @pytest.mark.parametrize("case", ["no_experiment", "encoding_mismatch"])
+    def test_checkpoint_config_mismatch_exits_1(self, dataset_dir, tmp_path, capsys, command, case):
+        # both encodings have 9 values per plane, so only the stored config tells them apart
+        cfg = ExperimentConfig(out_dims=16, out_spacing=10.0, channels=(2, 4), fc_widths=(16,), representation="euler_sincos")
+        net = PlaneRegressionNet(replace(cfg.network_config(), representation=RotationKind.SIXD), rng=np.random.default_rng(0))
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, net, extra={"experiment": cfg.to_values()} if case == "encoding_mismatch" else None)
+        source = ["--manifest", str(dataset_dir / "manifest.txt")] if command == "eval" else ["--volume", str(dataset_dir / "vol_p000_v0.vhdr")]
+        code = run_cli(command, "--checkpoint", str(path), *source, "--out", str(tmp_path / "o"))
         assert code == 1
         assert str(path) in capsys.readouterr().err

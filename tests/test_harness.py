@@ -1,8 +1,12 @@
+import logging
 import os
+import re
 
 import numpy as np
 import pytest
 
+from planereg import harness
+from planereg.augmentation import AugmentConfig
 from planereg.config import ConfigError, format_config, read_config_file, resolve
 from planereg.geometry import RotationKind
 from planereg.harness import (
@@ -17,13 +21,14 @@ from planereg.harness import (
     evaluate,
     hyperparam_search,
     load_samples,
+    load_trained,
     split_kfold_grouped,
     train,
     train_eval_fold,
     weight_grid_search,
 )
 from planereg.loss_metrics import LossWeights
-from planereg.model import NetworkConfig, PlaneRegressionNet, load_checkpoint
+from planereg.model import NetworkConfig, PlaneRegressionNet, save_checkpoint
 from planereg.phantom import ManifestEntry, generate_dataset
 
 
@@ -78,7 +83,7 @@ def synthetic_manifest(n_metal_patients, n_cadaver_patients, seed=0, vpp=2):
 
 class TestExperimentConfig:
     def test_schema_defaults_build_default_config(self):
-        assert ExperimentConfig.from_values(resolve(EXPERIMENT_SCHEMA)) == ExperimentConfig()
+        assert ExperimentConfig(**resolve(EXPERIMENT_SCHEMA)) == ExperimentConfig()
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = ExperimentConfig(
@@ -98,11 +103,22 @@ class TestExperimentConfig:
         assert {EXPERIMENT_SCHEMA[key].type for key in changed} == {"bool", "int", "float", "str", "ints"}
         path = tmp_path / "run.lock"
         path.write_text(format_config(cfg.to_values()))
-        assert ExperimentConfig.from_values(resolve(EXPERIMENT_SCHEMA, read_config_file(path))) == cfg
+        assert ExperimentConfig(**resolve(EXPERIMENT_SCHEMA, read_config_file(path))) == cfg
 
     def test_values_round_trip(self):
         cfg = tiny_config(representation=RotationKind.QUATERNION, gamma=0.0)
-        assert ExperimentConfig.from_values(cfg.to_values()) == cfg
+        assert ExperimentConfig(**cfg.to_values()) == cfg
+
+    def test_default_augment_config_matches(self):
+        assert ExperimentConfig().augment_config() == AugmentConfig()
+
+    def test_default_network_config_matches(self):
+        assert ExperimentConfig().network_config() == NetworkConfig()
+
+    def test_channels_become_int_tuples(self):
+        cfg = tiny_config(channels=[2, 4], fc_widths=[16])
+        assert cfg == tiny_config()
+        assert cfg.to_values()["channels"] == (2, 4)
 
     def test_mode_validated(self):
         with pytest.raises(ConfigError):
@@ -194,6 +210,14 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(cfg, tiny_samples, plane="axial", weights=LossWeights(0.4, 0.4, 0.2))
 
+    def test_out_of_cube_warned_once_per_run(self, tiny_samples, caplog):
+        with caplog.at_level(logging.WARNING):
+            result = train(tiny_config(epochs=2, trans_mm=200.0), tiny_samples)
+        assert result.out_of_cube > 1
+        records = [r for r in caplog.records if "normalized cube" in r.getMessage()]
+        assert len(records) == 1
+        assert f"{result.out_of_cube} of {2 * len(tiny_samples)}" in records[0].getMessage()
+
     def test_loss_curve_length(self, tiny_samples):
         result = train(tiny_config(epochs=3), tiny_samples)
         assert len(result.loss_curve) == 3
@@ -246,6 +270,7 @@ class TestEvaluate:
         result = train(tiny_config(epochs=0), tiny_samples)
         ev = evaluate(result.net, tiny_samples, cfg)
         assert ev.mean_inference_s > 0.0
+        assert ev.mean_preprocess_s > 0.0
 
     def test_layout_mismatch_rejected(self, tiny_samples):
         cfg = tiny_config()
@@ -306,6 +331,7 @@ class TestFoldsAndAblations:
         ev, results = train_eval_fold(cfg, tiny_samples, fa, 0, scheme="three")
         assert len(results) == 3
         assert set(ev.errors_by_plane) == set(cfg.plane_names)
+        assert ev.mean_preprocess_s > 0.0
 
     def test_combined_scheme_trains_one_model(self, tiny_samples):
         cfg = tiny_config()
@@ -322,6 +348,21 @@ class TestFoldsAndAblations:
         summary = (tmp_path / "xval" / "summary.csv").read_text().strip().split("\n")
         assert summary[0].startswith("cell,d_mean,d_std")
         assert len(summary) == 2
+
+    @pytest.mark.parametrize("command", ["xval", "ablate"])
+    def test_manifest_loaded_once(self, tiny_dataset, tmp_path, monkeypatch, command):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return load_samples(path)
+
+        monkeypatch.setattr(harness, "load_samples", counting)
+        if command == "xval":
+            cross_validate(tiny_config(), tiny_dataset, tmp_path / "x")
+        else:
+            ablation_driver("representation", tiny_config(), tiny_dataset, tmp_path / "a", folds=[0])
+        assert calls == [tiny_dataset]
 
     def test_resolution_axis_uses_published_pairs(self):
         assert ABLATION_AXES["resolution"] == [(64, 2.5), (72, 2.2), (128, 1.2)]
@@ -357,3 +398,34 @@ class TestFoldsAndAblations:
             assert (tmp_path / "seq" / f"fold{fold}" / "report.csv").read_text() == (
                 tmp_path / "par" / f"fold{fold}" / "report.csv"
             ).read_text()
+
+
+class TestLoadTrained:
+    def test_returns_training_config(self, tiny_samples, tmp_path):
+        cfg = tiny_config(representation=RotationKind.QUATERNION)
+        train(cfg, tiny_samples, checkpoint_path=tmp_path / "ck.bin")
+        net, got, plane = load_trained(tmp_path / "ck.bin")
+        assert got == cfg
+        assert plane is None
+        assert net.config == cfg.network_config()
+
+    def _save(self, path, cfg_values, plane=""):
+        net = PlaneRegressionNet(tiny_config(combined=False, gamma=0.0).network_config(n_planes=1), rng=np.random.default_rng(0))
+        save_checkpoint(path, net, extra={"experiment": cfg_values, "plane": plane})
+
+    def test_single_plane_checkpoint(self, tmp_path):
+        self._save(tmp_path / "ck.bin", tiny_config().to_values(), plane="axial")
+        assert load_trained(tmp_path / "ck.bin")[2] == "axial"
+
+    def test_unknown_plane_rejected(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        self._save(path, tiny_config().to_values(), plane="semicoronal")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: plane 'semicoronal'"):
+            load_trained(path)
+
+    @pytest.mark.parametrize("bad", [{"mode": "knee"}, {"bogus": 1}, {"channels": "x"}])
+    def test_invalid_experiment_values_rejected(self, tmp_path, bad):
+        path = tmp_path / "ck.bin"
+        self._save(path, {**tiny_config().to_values(), **bad}, plane="axial")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: invalid experiment config"):
+            load_trained(path)

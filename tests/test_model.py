@@ -1,4 +1,6 @@
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -350,6 +352,18 @@ class TestCheckpoint:
         path = tmp_path / "ck.bin"
         save_checkpoint(path, _tiny_net(seed=11))
         path.write_bytes(path.read_bytes().replace(b'"network"', b'"networx"', 1))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: corrupt checkpoint header"):
+            load_checkpoint(path)
+
+    def test_unknown_network_key_rejected(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, _tiny_net(seed=11))
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[12:16])
+        meta = json.loads(raw[16 : 16 + hlen])
+        meta["network"]["dropout"] = 0.5
+        header = json.dumps(meta, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:12] + struct.pack("<I", len(header)) + header + raw[16 + hlen :])
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: corrupt checkpoint header"):
             load_checkpoint(path)
 

@@ -219,6 +219,13 @@ class TestGenerateDataset:
         planes = read_plane_file(tmp_path / f"{entries[0].path}.planes")
         assert set(planes) == {"axial", "sagittal", "coronal"}
 
+    def test_truncation_bounds_applied(self, tmp_path):
+        entries = generate_dataset(tmp_path, n_patients=1, volumes_per_patient=1, dims=16, spacing=10.0, trunc_lo=0.5, trunc_hi=0.5)
+        v = read_volume(tmp_path / f"{entries[0].path}.vhdr")
+        # half of the 160 mm z extent kept: slices 4..11 of 16
+        cut = np.all(v.values == -1024, axis=(0, 1))
+        assert cut.tolist() == [True] * 4 + [False] * 8 + [True] * 4
+
     def test_invalid_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             generate_dataset(tmp_path, n_patients=2, volumes_per_patient=1, mode="knee", seed=0)
