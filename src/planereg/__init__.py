@@ -6,7 +6,7 @@ resampling, HU windowing, slice extraction), ``phantom`` (synthetic labeled
 data), ``augmentation`` (composite-transform sample generation), ``engine``
 and ``model`` (autodiff and the 3D regression CNN), ``loss_metrics`` (the
 combined loss and the evaluation score), ``harness`` (training,
-cross-validation, searches, ablations), and ``cli``.
+cross-validation, ablations), and ``cli``.
 """
 
 from .augmentation import AugmentConfig, AugmentedSample, SeededRng, augment_sample, center_input

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: ``phantom-gen`` (synthetic dataset), ``train``, ``eval``,
-``xval`` (grouped cross-validation), ``ablate`` (comparison drivers),
-``infer`` (checkpoint -> plane annotation file), and ``mpr-export``
-(plane annotation -> PGM slices).
+``xval`` (grouped cross-validation), ``ablate`` (cross-validated comparisons
+along one axis: ``representation``, ``resolution``, ``combined_vs_separate``
+or the loss-weight grid ``weights``), ``infer`` (checkpoint -> plane
+annotation file), and ``mpr-export`` (plane annotation -> PGM slices).
 
 Every run resolves its configuration from defaults, an optional ``--config``
 file, and ``--set key=value`` overrides (unknown keys are rejected), then
@@ -28,8 +29,10 @@ from .augmentation import center_input, decode_plane_vector
 from .config import ConfigError, Field, read_config_file, resolve, schema, write_lock_file
 from .geometry import GeometryError, read_plane_file, write_plane_file
 from .harness import (
+    ABLATION_AXES,
     EXPERIMENT_SCHEMA,
     ExperimentConfig,
+    _fold_list,
     ablation_driver,
     cross_validate,
     evaluate,
@@ -105,7 +108,10 @@ def _lock(out_path, values: dict, directory: bool) -> None:
 def _parse_folds(text: str | None):
     if not text:
         return None
-    return [int(v) for v in text.split(",") if v.strip()]
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"--folds expects comma-separated fold numbers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +155,10 @@ def _cmd_eval(args) -> None:
 def _cmd_xval(args) -> None:
     values = _resolve(EXPERIMENT_SCHEMA, args)
     cfg = ExperimentConfig(**values)
-    rows = cross_validate(cfg, args.manifest, args.out, folds=_parse_folds(args.folds), jobs=args.jobs)
+    folds = _fold_list(_parse_folds(args.folds), cfg.k)
+    rows = cross_validate(cfg, args.manifest, args.out, folds=folds, jobs=args.jobs)
     _lock(args.out, values, directory=True)
-    for fold, row in enumerate(rows):
+    for fold, row in zip(folds, rows):
         print(f"fold mean row {fold}: d={row.d:.3f} eps_n={row.eps_n:.3f} eps_i={row.eps_i:.3f} score={row.score:.3f}")
 
 
@@ -231,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ablate", help="run a comparison driver", epilog=_schema_epilog(EXPERIMENT_SCHEMA), formatter_class=fmt
     )
     _add_config_options(p)
-    p.add_argument("--axis", required=True, choices=["representation", "resolution", "combined_vs_separate"])
+    p.add_argument("--axis", required=True, choices=list(ABLATION_AXES))
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--folds", help="comma-separated fold subset, default all")

@@ -6,9 +6,6 @@ reverse topological order and then frees it, so a second backward call (or a
 backward without a preceding forward) raises.  The op set is exactly what the
 regression network and its loss need: broadcasting arithmetic, reductions,
 indexing, matmul, ReLU, 3x3x3 convolution, and 2x2x2 max pooling.
-
-Enable :func:`set_nan_checks` to assert every op output is finite, which
-turns silent numerical blowups into immediate errors.
 """
 
 from __future__ import annotations
@@ -20,12 +17,6 @@ import numpy as np
 from . import _kernels
 
 _GRAD_ENABLED = True
-_NAN_CHECKS = False
-
-
-def set_nan_checks(enabled: bool) -> None:
-    global _NAN_CHECKS
-    _NAN_CHECKS = bool(enabled)
 
 
 @contextlib.contextmanager
@@ -154,8 +145,6 @@ def as_tensor(x) -> Tensor:
 
 
 def _make(data, parents, vjp) -> Tensor:
-    if _NAN_CHECKS and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite values produced by an engine op")
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True

@@ -247,10 +247,6 @@ def _check_modes(cfg: ExperimentConfig, samples: list[Sample]) -> None:
             )
 
 
-def _target_planes(sample_planes: dict[str, PlaneFrame], names) -> list[PlaneFrame]:
-    return [sample_planes[n] for n in names]
-
-
 def train(
     cfg: ExperimentConfig,
     samples: list[Sample],
@@ -297,7 +293,7 @@ def train(
                 s = samples[idx]
                 aug = augment_sample(
                     s.volume,
-                    _target_planes(s.planes, names),
+                    [s.planes[n] for n in names],
                     aug_cfg,
                     base_rng.derive(_AUG_TAG, epoch, int(idx)),
                     kind=cfg.representation,
@@ -366,7 +362,7 @@ class EvalResult:
     mean_preprocess_s: float
 
     def rows(self) -> list[ReportRow]:
-        return aggregate_errors(self.errors_by_plane, per_plane=True)
+        return aggregate_errors(self.errors_by_plane)
 
     def mean_row(self) -> ReportRow:
         return self.rows()[-1]
@@ -454,108 +450,6 @@ def train_eval_fold(
 
 
 # ---------------------------------------------------------------------------
-# searches
-
-
-DEFAULT_SEARCH_SPACE = {
-    "lr": (1e-3, 1e-1),  # log-uniform
-    "decay": (0.3, 1.0),
-    "step_size": (30, 200),
-    "momentum": (0.5, 0.99),
-    "batch_size": (4, 8, 16),
-}
-
-
-def _patient_holdout(samples: list[Sample], seed: int, val_fraction: float = 0.25):
-    """Group-aware split of one fold into search-train and search-val parts."""
-    pids = sorted({s.entry.patient_id for s in samples})
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(17,))))
-    rng.shuffle(pids)
-    n_val = max(1, int(round(val_fraction * len(pids))))
-    val_pids = set(pids[:n_val])
-    train = [s for s in samples if s.entry.patient_id not in val_pids]
-    val = [s for s in samples if s.entry.patient_id in val_pids]
-    return train, val
-
-
-def hyperparam_search(
-    space: dict,
-    n_trials: int,
-    samples: list[Sample],
-    cfg: ExperimentConfig,
-    seed: int,
-) -> tuple[dict, list[tuple[dict, float]]]:
-    """Random search over optimizer hyperparameters on one fold.
-
-    The learning rate is drawn log-uniformly, the other ranges uniformly;
-    ``batch_size`` is a choice tuple.  Trials train on a patient-level 3/4
-    subset of ``samples`` and are ranked by the validation score (lower is
-    better).  Deterministic for a fixed seed.
-    """
-    train_s, val_s = _patient_holdout(samples, seed)
-    trials: list[tuple[dict, float]] = []
-    for trial in range(n_trials):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(19, trial))))
-        params = {
-            "lr": float(np.exp(rng.uniform(np.log(space["lr"][0]), np.log(space["lr"][1])))),
-            "decay": float(rng.uniform(*space["decay"])),
-            "step_size": int(rng.integers(space["step_size"][0], space["step_size"][1] + 1)),
-            "momentum": float(rng.uniform(*space["momentum"])),
-            "batch_size": int(space["batch_size"][int(rng.integers(0, len(space["batch_size"])))]),
-        }
-        trial_cfg = replace(cfg, **params)
-        tr = train(trial_cfg, train_s)
-        row = evaluate(tr.net, val_s, trial_cfg).mean_row()
-        trials.append((params, row.score))
-        logger.info("trial %d/%d: score %.3f for %s", trial + 1, n_trials, row.score, params)
-    best = min(trials, key=lambda t: t[1])[0]
-    return best, trials
-
-
-def enumerate_weight_grid(step: float = 0.1, combined: bool = True) -> list[LossWeights]:
-    """All feasible loss-weight combinations on a grid.
-
-    Combined networks enumerate ``alpha, beta in {step..1-step}`` with
-    ``gamma = 1 - alpha - beta >= 0``; per-plane networks enumerate
-    ``(alpha, 1 - alpha, 0)``.
-    """
-    n = int(round(1.0 / step))
-    if abs(n * step - 1.0) > 1e-9:
-        raise ValueError("grid step must divide 1 evenly")
-    out = []
-    for ia in range(1, n):
-        a = ia * step
-        if combined:
-            for ib in range(1, n):
-                b = ib * step
-                g = 1.0 - a - b
-                if g > -1e-9:
-                    out.append(LossWeights(round(a, 10), round(b, 10), round(max(g, 0.0), 10)))
-        else:
-            out.append(LossWeights(round(a, 10), round(1.0 - a, 10), 0.0))
-    return out
-
-
-def weight_grid_search(
-    cfg: ExperimentConfig,
-    samples: list[Sample],
-    step: float = 0.1,
-    plane: str | None = None,
-) -> tuple[LossWeights, list[tuple[LossWeights, float]]]:
-    """Exhaustive loss-weight grid search ranked by validation score."""
-    train_s, val_s = _patient_holdout(samples, cfg.seed)
-    table: list[tuple[LossWeights, float]] = []
-    for w in enumerate_weight_grid(step, combined=plane is None):
-        run_cfg = replace(cfg, combined=plane is None, alpha=w.alpha, beta=w.beta, gamma=w.gamma)
-        tr = train(run_cfg, train_s, plane=plane, weights=w)
-        row = evaluate(tr.net, val_s, run_cfg, plane=plane).rows()[-1]
-        table.append((w, row.score))
-        logger.info("weights (%.1f, %.1f, %.1f): score %.3f", w.alpha, w.beta, w.gamma, row.score)
-    best = min(table, key=lambda t: t[1])[0]
-    return best, table
-
-
-# ---------------------------------------------------------------------------
 # cross-validation and ablations
 
 
@@ -605,6 +499,16 @@ def _run_folds(cfg: ExperimentConfig, samples: list[Sample], folds: list[int], s
         return dict(zip(folds, results))
 
 
+def _fold_list(folds: list[int] | None, k: int) -> list[int]:
+    """All ``k`` folds when ``folds`` is None, else ``folds`` checked against ``k``."""
+    if folds is None:
+        return list(range(k))
+    folds = list(folds)
+    if not folds or len(set(folds)) < len(folds) or any(not 0 <= f < k for f in folds):
+        raise ConfigError(f"folds must be a non-empty subset of 0..{k - 1} for k={k}, got {folds}")
+    return folds
+
+
 def cross_validate(
     cfg: ExperimentConfig,
     manifest_path,
@@ -618,7 +522,7 @@ def cross_validate(
     Returns the per-fold mean rows.  Result files are written atomically
     (write to a temp file, then rename).
     """
-    folds = list(range(cfg.k)) if folds is None else list(folds)
+    folds = _fold_list(folds, cfg.k)
     os.makedirs(out_dir, exist_ok=True)
     results = _run_folds(cfg, load_samples(manifest_path), folds, scheme, jobs)
     mean_rows = []
@@ -636,6 +540,8 @@ ABLATION_AXES = {
     "representation": [RotationKind.SIXD, RotationKind.QUATERNION, RotationKind.EULER_SINCOS],
     "resolution": [(64, 2.5), (72, 2.2), (128, 1.2)],
     "combined_vs_separate": ["three", "combined", "optimized_combined"],
+    # every (alpha, beta, gamma) on the 0.1 grid with alpha, beta >= 0.1
+    "weights": [LossWeights(a / 10, b / 10, (10 - a - b) / 10) for a in range(1, 10) for b in range(1, 11 - a)],
 }
 
 
@@ -650,12 +556,14 @@ def ablation_driver(
     """Run one ablation axis cross-validated and emit a mean/std CSV.
 
     ``representation`` compares the three rotation encodings,
-    ``resolution`` the (dims, spacing) rows, and ``combined_vs_separate``
-    per-plane models against combined ones.  Returns the summary CSV path.
+    ``resolution`` the (dims, spacing) rows, ``combined_vs_separate``
+    per-plane models against combined ones, and ``weights`` one combined
+    network per loss-weight cell, the grid that :data:`WEIGHT_PRESETS`'s
+    combined presets come from.  Returns the summary CSV path.
     """
     if which not in ABLATION_AXES:
         raise ValueError(f"unknown ablation axis {which!r}")
-    folds = list(range(cfg.k)) if folds is None else list(folds)
+    folds = _fold_list(folds, cfg.k)
     os.makedirs(out_dir, exist_ok=True)
     samples = load_samples(manifest_path)
 
@@ -668,6 +576,9 @@ def ablation_driver(
             dims, spacing = cell
             cell_cfg = replace(cfg, out_dims=dims, out_spacing=spacing)
             label, scheme = f"{dims}^3@{spacing}mm", "config"
+        elif which == "weights":
+            cell_cfg = replace(cfg, combined=True, alpha=cell.alpha, beta=cell.beta, gamma=cell.gamma)
+            label, scheme = f"a{cell.alpha:g}_b{cell.beta:g}_g{cell.gamma:g}", "config"
         else:
             cell_cfg = cfg
             label, scheme = cell, cell

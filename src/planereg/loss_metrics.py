@@ -283,13 +283,12 @@ class ReportRow:
         return score(self.d, self.eps_n, self.eps_i)
 
 
-def aggregate_errors(errors_by_plane: dict[str, list[PlaneErrors]], per_plane: bool = True) -> list[ReportRow]:
+def aggregate_errors(errors_by_plane: dict[str, list[PlaneErrors]]) -> list[ReportRow]:
     """Aggregate per-sample errors into report rows.
 
-    Each component is aggregated over samples by median.  With ``per_plane``
-    the result has one row per plane plus a ``mean`` row holding the
-    componentwise mean of the per-plane rows; otherwise all samples pool into
-    a single ``all`` row.  The score is always computed from the aggregated
+    Each component is aggregated over samples by median, giving one row per
+    plane, plus a ``mean`` row holding the componentwise mean of the
+    per-plane rows.  The score is always computed from the aggregated
     components.
     """
     if not errors_by_plane or any(len(v) == 0 for v in errors_by_plane.values()):
@@ -301,11 +300,6 @@ def aggregate_errors(errors_by_plane: dict[str, list[PlaneErrors]], per_plane: b
             float(np.median([e.eps_n for e in samples])),
             float(np.median([e.eps_i for e in samples])),
         )
-
-    if not per_plane:
-        pooled = [e for v in errors_by_plane.values() for e in v]
-        d, en, ei = med(pooled)
-        return [ReportRow("all", d, en, ei)]
 
     rows = [ReportRow(name, *med(samples)) for name, samples in errors_by_plane.items()]
     mean_row = ReportRow(

@@ -83,17 +83,6 @@ class NetworkConfig:
             side //= 2
         return side**3 * self.channels[-1]
 
-    def parameter_count(self) -> int:
-        total = 0
-        c_in = 1
-        for c_out in self.channels:
-            total += c_out * c_in * 27 + c_out
-            c_in = c_out
-        widths = (self.flatten_dim,) + self.fc_widths + (self.n_out,)
-        for a, b in zip(widths[:-1], widths[1:]):
-            total += a * b + b
-        return total
-
     def to_dict(self) -> dict:
         return field_values(self)
 

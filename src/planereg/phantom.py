@@ -300,6 +300,10 @@ def generate_dataset(
         raise ValueError(f"mode must be one of {sorted(PLANE_NAMES)}")
     if n_patients < 1 or volumes_per_patient < 1:
         raise ValueError("need at least one patient and one volume per patient")
+    if not 0.0 < trunc_lo <= trunc_hi <= 1.0:
+        raise ValueError(f"need 0 < trunc_lo <= trunc_hi <= 1, got trunc_lo={trunc_lo}, trunc_hi={trunc_hi}")
+    if not 0.0 <= metal_fraction <= 1.0:
+        raise ValueError(f"metal_fraction must lie in [0, 1], got {metal_fraction}")
     os.makedirs(out_dir, exist_ok=True)
 
     n_metal_patients = int(round(metal_fraction * n_patients))

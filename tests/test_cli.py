@@ -258,3 +258,51 @@ class TestHelpAndErrors:
         code = run_cli(command, "--checkpoint", str(path), *source, "--out", str(tmp_path / "o"))
         assert code == 1
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("folds", ["0,5", "1,1"])
+    @pytest.mark.parametrize("command", ["xval", "ablate"])
+    def test_bad_folds_exit_1_before_any_output(self, dataset_dir, tmp_path, capsys, command, folds):
+        axis = ["--axis", "representation"] if command == "ablate" else []
+        out = tmp_path / "o"
+        code = run_cli(
+            command, *axis, "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(out),
+            "--folds", folds, *TRAIN_OVERRIDES,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"[{folds.replace(',', ', ')}]" in err and "k=2" in err
+        assert not out.exists()
+
+    def test_non_integer_fold_names_option(self, dataset_dir, tmp_path, capsys):
+        code = run_cli(
+            "xval", "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(tmp_path / "o"),
+            "--folds", "x", *TRAIN_OVERRIDES,
+        )
+        assert code == 1
+        assert "--folds" in capsys.readouterr().err
+
+    def test_xval_prints_selected_fold_number(self, dataset_dir, tmp_path, capsys):
+        code = run_cli(
+            "xval", "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(tmp_path / "o"),
+            "--folds", "2", *TRAIN_OVERRIDES, "--set", "k=3",
+        )
+        assert code == 0
+        assert capsys.readouterr().out.startswith("fold mean row 2: ")
+
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            (["trunc_lo=0.9", "trunc_hi=0.5"], "trunc_lo"),
+            (["trunc_hi=1.5"], "trunc_hi"),
+            (["trunc_lo=0"], "trunc_lo"),
+            (["metal_fraction=1.5"], "metal_fraction"),
+            (["metal_fraction=-0.5"], "metal_fraction"),
+        ],
+    )
+    def test_phantom_bounds_named(self, tmp_path, capsys, overrides, key):
+        out = tmp_path / "data"
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        code = run_cli("phantom-gen", "--out", str(out), "--set", "n_patients=1", "--set", "dims=16", *sets)
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()

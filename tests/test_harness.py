@@ -1,6 +1,7 @@
 import logging
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,22 +11,18 @@ from planereg.augmentation import AugmentConfig
 from planereg.config import ConfigError, format_config, read_config_file, resolve
 from planereg.geometry import RotationKind
 from planereg.harness import (
-    DEFAULT_SEARCH_SPACE,
     ABLATION_AXES,
     EXPERIMENT_SCHEMA,
     ExperimentConfig,
     TrainingDivergedError,
     ablation_driver,
     cross_validate,
-    enumerate_weight_grid,
     evaluate,
-    hyperparam_search,
     load_samples,
     load_trained,
     split_kfold_grouped,
     train,
     train_eval_fold,
-    weight_grid_search,
 )
 from planereg.loss_metrics import LossWeights
 from planereg.model import NetworkConfig, PlaneRegressionNet, save_checkpoint
@@ -223,6 +220,22 @@ class TestTrain:
         assert len(result.loss_curve) == 3
         assert all(np.isfinite(v) for v in result.loss_curve)
 
+    def test_training_beats_untrained_net(self, tmp_path):
+        # Seeds 0, 1, 2 trained/untrained: d 0.20, 0.12, 0.18; eps_n 0.57,
+        # 0.81, 0.73; eps_i 0.73, 0.62, 0.69.  The bounds keep a margin over
+        # the worst seed, and epochs=0 gives the same initial weights.
+        generate_dataset(tmp_path, n_patients=6, volumes_per_patient=2, dims=16, spacing=10.0, seed=1)
+        samples = load_samples(tmp_path / "manifest.txt")
+        cfg = tiny_config(epochs=30, lr=0.02, decay=1.0, k=3, channels=(4, 8), fc_widths=(32,))
+        fa = split_kfold_grouped([s.entry for s in samples], cfg.k, cfg.seed)
+        before = train_eval_fold(replace(cfg, epochs=0), samples, fa, 0)[0].mean_row()
+        ev, (result,) = train_eval_fold(cfg, samples, fa, 0)
+        after = ev.mean_row()
+        assert after.d <= 0.5 * before.d
+        assert after.eps_n <= 0.9 * before.eps_n
+        assert after.eps_i <= 0.9 * before.eps_i
+        assert result.loss_curve[-1] < result.loss_curve[0]
+
 
 class _GroundTruthStub:
     """Stands in for a trained network, returning encoded ground truth."""
@@ -279,51 +292,6 @@ class TestEvaluate:
             evaluate(result.net, tiny_samples, cfg, plane="axial")
 
 
-class TestSearches:
-    def test_single_trial_returned(self, tiny_samples):
-        cfg = tiny_config()
-        space = dict(DEFAULT_SEARCH_SPACE)
-        space["batch_size"] = (4,)
-        best, trials = hyperparam_search(space, 1, tiny_samples, cfg, seed=3)
-        assert len(trials) == 1
-        assert best == trials[0][0]
-
-    def test_search_deterministic_and_argmin(self, tiny_samples):
-        cfg = tiny_config()
-        space = dict(DEFAULT_SEARCH_SPACE)
-        space["batch_size"] = (4, 8)
-        best1, trials1 = hyperparam_search(space, 3, tiny_samples, cfg, seed=4)
-        best2, trials2 = hyperparam_search(space, 3, tiny_samples, cfg, seed=4)
-        assert best1 == best2
-        assert [t[1] for t in trials1] == [t[1] for t in trials2]
-        assert min(t[1] for t in trials1) == dict((tuple(sorted(p.items())), s) for p, s in trials1)[
-            tuple(sorted(best1.items()))
-        ]
-
-    def test_weight_grid_counts(self):
-        assert len(enumerate_weight_grid(0.1, combined=True)) == 45
-        assert len(enumerate_weight_grid(0.1, combined=False)) == 9
-
-    def test_weight_grid_contains_presets(self):
-        grid = enumerate_weight_grid(0.1, combined=True)
-        assert LossWeights(0.6, 0.3, 0.1) in grid
-        assert LossWeights(0.2, 0.8, 0.0) in grid
-        assert all(abs(w.alpha + w.beta + w.gamma - 1) < 1e-9 for w in grid)
-
-    def test_weight_grid_step_validated(self):
-        with pytest.raises(ValueError):
-            enumerate_weight_grid(0.3)
-
-    def test_weight_grid_search_tiny(self, tiny_samples):
-        cfg = tiny_config()
-        best, table = weight_grid_search(cfg, tiny_samples, step=1.0 / 3.0)
-        assert len(table) == 3
-        assert best in [w for w, _ in table]
-        assert min(s for _, s in table) == dict(((w.alpha, w.beta, w.gamma), s) for w, s in table)[
-            (best.alpha, best.beta, best.gamma)
-        ]
-
-
 class TestFoldsAndAblations:
     def test_three_scheme_trains_three_models(self, tiny_samples):
         cfg = tiny_config()
@@ -366,6 +334,20 @@ class TestFoldsAndAblations:
 
     def test_resolution_axis_uses_published_pairs(self):
         assert ABLATION_AXES["resolution"] == [(64, 2.5), (72, 2.2), (128, 1.2)]
+
+    def test_weight_grid_contains_presets(self):
+        grid = ABLATION_AXES["weights"]
+        assert len(grid) == 45
+        assert LossWeights(0.6, 0.3, 0.1) in grid
+        assert LossWeights(0.2, 0.8, 0.0) in grid
+
+    def test_weights_driver_rows(self, tiny_dataset, tmp_path):
+        path = ablation_driver("weights", tiny_config(epochs=0), tiny_dataset, tmp_path / "w", folds=[0])
+        lines = open(path).read().strip().split("\n")
+        labels = [l.split(",")[0] for l in lines[1:]]
+        assert len(labels) == 45 and len(set(labels)) == 45
+        assert "a0.6_b0.3_g0.1" in labels and "a0.2_b0.8_g0" in labels
+        assert (tmp_path / "w" / "weights_a0.6_b0.3_g0.1_fold0.csv").exists()
 
     def test_representation_driver_shape_and_determinism(self, tiny_dataset, tmp_path):
         cfg = tiny_config()

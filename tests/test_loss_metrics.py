@@ -269,10 +269,6 @@ class TestAggregate:
         # mean-of-medians reproduces it only within aggregation slack
         assert abs(mean.score - 8.54) < 0.15
 
-    def test_pooled_aggregation(self):
-        rows = aggregate_errors({"a": [PlaneErrors(1, 1, 1)], "b": [PlaneErrors(3, 3, 3)]}, per_plane=False)
-        assert len(rows) == 1 and rows[0].plane == "all" and rows[0].d == 2.0
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate_errors({})
