@@ -322,5 +322,5 @@ def conv3d(x, w, bias) -> Tensor:
 def maxpool3d(x) -> Tensor:
     """2x2x2 max pooling with stride 2; gradient goes to the first maximum."""
     x = as_tensor(x)
-    out, idx = _kernels.maxpool3d_forward(x.data)
-    return _make(out, (x,), lambda g: (_kernels.maxpool3d_backward(x.shape, idx, g),))
+    out = _kernels.maxpool3d_forward(x.data)
+    return _make(out, (x,), lambda g: (_kernels.maxpool3d_backward(x.data, out, g),))

@@ -82,6 +82,9 @@ class ExperimentConfig:
         object.__setattr__(self, "fc_widths", tuple(int(w) for w in self.fc_widths))
         if not self.combined and self.gamma > 0.0:
             raise ConfigError("per-plane networks cannot use an orthogonality weight")
+        for key, lowest in (("epochs", 0), ("batch_size", 1), ("k", 2)):
+            if getattr(self, key) < lowest:
+                raise ConfigError(f"{key} must be at least {lowest}, got {getattr(self, key)}")
 
     def to_values(self) -> dict:
         return field_values(self)

@@ -5,7 +5,9 @@ The network is a plain feed-forward stack: five convolutional blocks
 max pooling) and three fully connected layers with a linear output head, so
 predicted encodings are free to leave [-1, 1].  There is no dropout and no
 batch statistics anywhere, so single-sample and batched forward passes agree
-to float32 rounding (einsum may sum in a different order for each batch size).
+to float32 rounding.  The conv blocks compute each sample on its own and give
+bitwise-identical rows for any batch size; only the FC matmuls may sum in a
+different order for each batch size.
 
 Checkpoint layout (little endian throughout)::
 

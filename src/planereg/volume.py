@@ -100,12 +100,19 @@ class WindowConfig:
             raise ValueError("gain must be positive")
 
 
+# points per interpolation pass: each pass's float64 temporaries (at most
+# 192 KB) stay in malloc's heap, where a whole grid's would be mapped and
+# faulted in afresh on every call
+_CHUNK = 8192
+
+
 def trilinear_sample(vol: Volume, points: np.ndarray) -> np.ndarray:
     """Trilinear interpolation of world-space points, one pass.
 
     ``points`` has shape ``(..., 3)`` in mm.  Interpolation runs over the 8
     surrounding voxel centers; points outside the voxel-center hull return
-    the air fill value of -1024 HU.
+    the air fill value of -1024 HU.  The points are taken ``_CHUNK`` at a
+    time; every point's value is the same whatever the chunking.
     """
     global _INTERP_CALLS
     _INTERP_CALLS += 1
@@ -114,30 +121,37 @@ def trilinear_sample(vol: Volume, points: np.ndarray) -> np.ndarray:
     if p.shape[-1] != 3:
         raise ValueError(f"points must have shape (..., 3), got {p.shape}")
     out_shape = p.shape[:-1]
-    p = np.ascontiguousarray(p.reshape(-1, 3), dtype=np.float64)
+    p = p.reshape(-1, 3)
 
     values = vol.values
-    nx, ny, nz = values.shape
-    out_dtype = np.float64 if values.dtype == np.float64 else np.float32
-
-    eps = 1e-9
-    dims = np.array([nx, ny, nz], dtype=np.float64)
-    spacing = np.array(vol.spacing, dtype=np.float64)
-    u = p / spacing + (dims - 1.0) / 2.0
-    inside = np.all((u >= -eps) & (u <= dims - 1.0 + eps), axis=1)
-
-    i0 = np.maximum(np.floor(u).astype(np.int64), 0)
-    np.clip(i0, 0, [nx - 2, ny - 2, nz - 2], out=i0)
-    f = u - i0
-    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-    gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
-
+    out = np.empty(len(p), dtype=np.float64 if values.dtype == np.float64 else np.float32)
     # gather from a flat view of the source's own memory (read_volume returns a
     # Fortran-ordered int16 view) and widen only the gathered corners; copying
     # and widening the whole source on every call cost more than the gather
     src = values if values.flags.c_contiguous or values.flags.f_contiguous else np.ascontiguousarray(values)
     flat = src.reshape(-1, order="A")
-    sx, sy, sz = (s // src.itemsize for s in src.strides)  # element strides
+    strides = tuple(s // src.itemsize for s in src.strides)  # element strides
+    dims = np.array(values.shape, dtype=np.float64)
+    spacing = np.array(vol.spacing, dtype=np.float64)
+    for start in range(0, len(p), _CHUNK):
+        chunk = p[start : start + _CHUNK].astype(np.float64)
+        out[start : start + _CHUNK] = _trilinear(flat, strides, dims, spacing, chunk)
+    return out.reshape(out_shape)
+
+
+def _trilinear(flat, strides, dims, spacing, p):
+    """Values at the ``(n, 3)`` float64 points ``p`` of the grid ``flat`` of shape ``dims``."""
+    eps = 1e-9
+    u = p / spacing + (dims - 1.0) / 2.0
+    inside = np.all((u >= -eps) & (u <= dims - 1.0 + eps), axis=1)
+
+    i0 = np.maximum(np.floor(u).astype(np.int64), 0)
+    np.clip(i0, 0, dims.astype(np.int64) - 2, out=i0)
+    f = u - i0
+    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
+    gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
+
+    sx, sy, sz = strides
     base = i0[:, 0] * sx + i0[:, 1] * sy + i0[:, 2] * sz
     c000, c001, c010, c011, c100, c101, c110, c111 = (
         flat[base + o].astype(np.float64, copy=False)
@@ -148,8 +162,7 @@ def trilinear_sample(vol: Volume, points: np.ndarray) -> np.ndarray:
         gx * (gy * (gz * c000 + fz * c001) + fy * (gz * c010 + fz * c011))
         + fx * (gy * (gz * c100 + fz * c101) + fy * (gz * c110 + fz * c111))
     )
-    res = np.where(inside, res, FILL_HU)
-    return res.reshape(out_shape).astype(out_dtype, copy=False)
+    return np.where(inside, res, FILL_HU)
 
 
 def resample(vol: Volume, T: np.ndarray, out_dims, out_spacing) -> Volume:

@@ -273,6 +273,24 @@ class TestHelpAndErrors:
         assert f"[{folds.replace(',', ', ')}]" in err and "k=2" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,override,key",
+        [
+            ("train", "batch_size=0", "batch_size"),
+            ("train", "epochs=-1", "epochs"),
+            ("xval", "k=1", "k"),
+        ],
+    )
+    def test_integer_keys_range_checked_before_any_output(self, dataset_dir, tmp_path, capsys, command, override, key):
+        out = tmp_path / "o"
+        code = run_cli(
+            command, "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(out),
+            *TRAIN_OVERRIDES, "--set", override,
+        )
+        assert code == 1
+        assert f"{key} must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_integer_fold_names_option(self, dataset_dir, tmp_path, capsys):
         code = run_cli(
             "xval", "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(tmp_path / "o"),
@@ -297,6 +315,10 @@ class TestHelpAndErrors:
             (["trunc_lo=0"], "trunc_lo"),
             (["metal_fraction=1.5"], "metal_fraction"),
             (["metal_fraction=-0.5"], "metal_fraction"),
+            (["dims=0"], "dims"),
+            (["spacing=0"], "spacing"),
+            (["pose_rot_deg=-5"], "pose_rot_deg"),
+            (["pose_trans_mm=-1"], "pose_trans_mm"),
         ],
     )
     def test_phantom_bounds_named(self, tmp_path, capsys, overrides, key):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from planereg import volume
 from planereg.geometry import (
     GeometryError,
     PlaneFrame,
@@ -91,6 +92,20 @@ class TestTrilinearSample:
         got = trilinear_sample(v, pts)
         want = a0 + pts @ [a1, a2, a3]
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-6
+
+    def test_value_independent_of_chunking(self):
+        # more points than three chunks, half of them outside: each point's
+        # value must not depend on which other points share its chunk
+        rng = np.random.default_rng(2)
+        v = Volume(values=np.asfortranarray(rng.integers(-1000, 2000, size=(9, 8, 7)).astype(np.int16)),
+                   spacing=(2.0, 1.5, 1.0))
+        pts = rng.uniform(-10, 10, size=(5 * (3 * volume._CHUNK // 5 + 1), 3))
+        got = trilinear_sample(v, pts.reshape(-1, 5, 3))
+        order = rng.permutation(len(pts))
+        assert got.shape == (len(pts) // 5, 5) and got.dtype == np.float32
+        assert np.array_equal(trilinear_sample(v, pts[order]), got.reshape(-1)[order])
+        assert np.array_equal(trilinear_sample(v, pts[:1]), got.reshape(-1)[:1])
+        assert np.any(got == FILL_HU) and np.any(got != FILL_HU)
 
     def test_counter_increments_once_per_call(self):
         v = constant_volume()
