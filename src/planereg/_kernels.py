@@ -1,14 +1,25 @@
 """Numpy kernels for the 3x3x3 convolution and 2x2x2 max-pooling primitives.
 
-The convolution is lowered to one matrix product per sample (im2col).  The
-27 shifted ``(C, D, H, W)`` slices of a sample's zero-padded input are copied
-into a reused ``(C*27, D*H*W)`` column buffer, and ``w.reshape(O, C*27)``
-times that buffer is the sample's output.  The weight gradient sums
-``gout[s] @ cols.T`` over the samples in order; the input gradient is the
-same lowering applied to the output gradient with flipped, channel-transposed
-weights.  Each sample's output depends only on that sample, so a row comes
-out bitwise identical whatever the batch size.  The transient memory is one
-sample's columns, never a whole batch of windows.
+The convolution is lowered to matrix products (im2col) one slab of output
+depths at a time.  For the ``n`` depths of a slab, the 27 shifted slices of
+the sample's zero-padded input are copied into a ``(C*27, n*H*W)`` column
+matrix, and ``w.reshape(O, C*27)`` times that matrix is the slab of the
+output.  A slab holds ``dz = _SLAB // (C*27*H*W)`` depths (at least one, at
+most ``D``), so the buffer holds at most about 8 MB in float32 unless one
+depth alone needs more, and a slab is multiplied while its columns are still
+warm in cache.  One buffer, allocated once per call, serves every slab and
+sample; no call maps a whole sample's or batch's columns.
+
+The weight gradient sums ``gout_slab @ cols.T`` over the slabs and samples
+in order.  The input gradient is the adjoint of the lowering (col2im): for
+each slab, ``w.T @ gout_slab`` is written into the same column buffer, and
+its 27 taps are scatter-added into the zeroed, padded gradient of the
+sample, whose interior is the sample's input gradient.
+
+The slab depth depends on ``C``, ``D``, ``H`` and ``W`` only, never on the
+batch size, and each sample's output and input gradient depend only on that
+sample.  So a sample's rows are summed in the same order, and come out
+bitwise identical, whatever the batch.
 
 Max pooling folds the eight stride-2 views of the input, in ``(a, b, c)``
 offset order, with ``np.maximum``.  The backward pass walks the views in the
@@ -32,6 +43,7 @@ import numpy as np
 
 _OFFSETS = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
 _TAPS = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
+_SLAB = 1 << 21  # elements in the reused column buffer: 8 MB in float32
 
 
 def _pin_openblas_to_one_thread() -> bool:
@@ -59,33 +71,27 @@ def _pin_openblas_to_one_thread() -> bool:
 _pin_openblas_to_one_thread()
 
 
-def _columns(x, dtype):
-    """Yield ``(s, cols)``: the ``(C*27, D*H*W)`` column matrix of sample ``s``.
+def _column_slabs(x, dtype):
+    """Yield ``(s, z0, n, cols)`` for each slab of output depths of sample ``s``.
 
-    Both buffers are reused across samples, so each ``cols`` is valid only
-    until the next one is drawn.
+    ``cols`` is the ``(C*27, n*H*W)`` column matrix of the ``n`` depths from
+    ``z0`` on: row ``c*27 + t`` holds channel ``c`` of the zero-padded
+    sample shifted by tap ``t``.  Every matrix is a view of one buffer that
+    serves every slab and sample, so it is valid, and may be overwritten,
+    only until the next one is drawn.
     """
     B, C, D, H, W = x.shape
+    dz = max(1, min(D, _SLAB // (C * 27 * H * W)))
     xpad = np.zeros((C, D + 2, H + 2, W + 2), dtype=dtype)
-    cols = np.empty((C, 27, D, H, W), dtype=dtype)
+    buf = np.empty(C * 27 * dz * H * W, dtype=dtype)
     for s in range(B):
         xpad[:, 1:-1, 1:-1, 1:-1] = x[s]
-        for t, (i, j, k) in enumerate(_TAPS):
-            cols[:, t] = xpad[:, i : i + D, j : j + H, k : k + W]
-        yield s, cols.reshape(C * 27, D * H * W)
-
-
-def _correlate(x, w2, bias):
-    """Padded 3x3x3 correlation of ``x`` with the ``(O, C*27)`` weights ``w2``."""
-    B, _, D, H, W = x.shape
-    O = w2.shape[0]
-    out = np.empty((B, O, D, H, W), dtype=w2.dtype)
-    for s, cols in _columns(x, w2.dtype):
-        rows = out[s].reshape(O, D * H * W)
-        np.matmul(w2, cols, out=rows)
-        if bias is not None:
-            rows += bias[:, None]
-    return out
+        for z0 in range(0, D, dz):
+            n = min(dz, D - z0)
+            cols = buf[: C * 27 * n * H * W].reshape(C, 27, n, H, W)
+            for t, (i, j, k) in enumerate(_TAPS):
+                cols[:, t] = xpad[:, z0 + i : z0 + i + n, j : j + H, k : k + W]
+            yield s, z0, n, cols.reshape(C * 27, n * H * W)
 
 
 def conv3d_forward(x, w, bias):
@@ -94,9 +100,16 @@ def conv3d_forward(x, w, bias):
     ``x`` is ``(B, C, D, H, W)``, ``w`` is ``(O, C, 3, 3, 3)``; returns
     ``(B, O, D, H, W)``.
     """
+    B, _, D, H, W = x.shape
+    O = w.shape[0]
     dtype = np.result_type(x, w, bias)
-    w2 = w.reshape(w.shape[0], -1).astype(dtype, copy=False)
-    return _correlate(x, w2, bias.astype(dtype, copy=False))
+    w2 = w.reshape(O, -1).astype(dtype, copy=False)
+    out = np.empty((B, O, D, H, W), dtype=dtype)
+    rows = out.reshape(B, O, D * H * W)
+    for s, z0, n, cols in _column_slabs(x, dtype):
+        np.matmul(w2, cols, out=rows[s, :, z0 * H * W : (z0 + n) * H * W])
+    out += bias.astype(dtype, copy=False)[:, None, None, None]
+    return out
 
 
 def conv3d_backward(x, w, gout, need_gx: bool = True):
@@ -105,20 +118,29 @@ def conv3d_backward(x, w, gout, need_gx: bool = True):
     Pass ``need_gx=False`` to skip the input gradient (first layer); it is
     then returned as ``None``.
     """
-    O, C = w.shape[:2]
+    B, C, D, H, W = x.shape
+    O = w.shape[0]
     dtype = np.result_type(x, w, gout)
-    g2 = gout.reshape(gout.shape[0], O, -1)
+    w2t = w.reshape(O, C * 27).astype(dtype, copy=False).T
+    g2 = gout.reshape(B, O, D * H * W)
     gw = np.zeros((O, C * 27), dtype=dtype)
-    for s, cols in _columns(x, dtype):
-        gw += g2[s] @ cols.T
-    gw = gw.reshape(w.shape)
-    gb = gout.sum(axis=(0, 2, 3, 4))
-
-    if not need_gx:
-        return None, gw, gb
-    w_flip = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(C, O * 27)
-    gx = _correlate(gout, w_flip.astype(dtype, copy=False), None)
-    return gx, gw, gb
+    gx = np.empty(x.shape, dtype=dtype) if need_gx else None
+    gpad = np.empty((C, D + 2, H + 2, W + 2), dtype=dtype) if need_gx else None
+    for s, z0, n, cols in _column_slabs(x, dtype):
+        gslab = g2[s, :, z0 * H * W : (z0 + n) * H * W]
+        gw += gslab @ cols.T
+        if not need_gx:
+            continue
+        if z0 == 0:
+            gpad.fill(0)
+        # col2im: the slab's column gradient, scattered back one tap at a time
+        np.matmul(w2t, gslab, out=cols)
+        taps = cols.reshape(C, 27, n, H, W)
+        for t, (i, j, k) in enumerate(_TAPS):
+            gpad[:, z0 + i : z0 + i + n, j : j + H, k : k + W] += taps[:, t]
+        if z0 + n == D:
+            gx[s] = gpad[:, 1:-1, 1:-1, 1:-1]
+    return gx, gw.reshape(w.shape), gout.sum(axis=(0, 2, 3, 4))
 
 
 def _views(x):

@@ -224,7 +224,8 @@ def maximum(a, scalar: float) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0),))
+    # np.where, not g * mask: an inactive input gets +0, whatever g's sign
+    return _make(np.maximum(a.data, 0.0), (a,), lambda g: (np.where(a.data > 0, g, 0.0),))
 
 
 # -- shape and indexing -------------------------------------------------------

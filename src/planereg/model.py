@@ -1,9 +1,13 @@
 """3D convolutional regression network, optimizer, and checkpoint format.
 
-The network is a plain feed-forward stack: five convolutional blocks
-(3x3x3 kernels, stride 1, zero padding 1, each followed by ReLU and 2x2x2
-max pooling) and three fully connected layers with a linear output head, so
-predicted encodings are free to leave [-1, 1].  There is no dropout and no
+The network is a plain feed-forward stack: five convolutional blocks and
+three fully connected layers with a linear output head, so predicted
+encodings are free to leave [-1, 1].  Each block is a 3x3x3 convolution
+(stride 1, zero padding 1), then 2x2x2 max pooling, then ReLU.  For inputs
+without NaN this is bitwise equal to ReLU before pooling, gradients and
+signed zeros included (ReLU is monotone, and both orders send a block's
+gradient to its first maximum or nowhere), and the ReLU runs on an eighth of
+the values.  There is no dropout and no
 batch statistics anywhere, so single-sample and batched forward passes agree
 to float32 rounding.  The conv blocks compute each sample on its own and give
 bitwise-identical rows for any batch size; only the FC matmuls may sum in a
@@ -173,7 +177,7 @@ class PlaneRegressionNet:
         """Run the network; returns the ``(B, n_out)`` output tensor."""
         t = Tensor(self._canonical_input(x))
         for conv in self.convs:
-            t = engine.maxpool3d(engine.relu(conv(t)))
+            t = engine.relu(engine.maxpool3d(conv(t)))
         t = engine.reshape(t, (t.shape[0], -1))
         for fc in self.fcs[:-1]:
             t = engine.relu(fc(t))

@@ -60,9 +60,9 @@ class Volume:
         if min(v.shape) < 2:
             raise ValueError("each axis needs at least 2 voxels")
         sp = _as_triple(self.spacing)
-        if min(sp) <= 0:
-            raise ValueError("spacing must be positive")
-        # written so that NaN, which fails every comparison, is rejected too
+        # both checks are written so that NaN, which fails every comparison, is rejected too
+        if not all(0.0 < s < math.inf for s in sp):
+            raise ValueError(f"spacing must be finite and positive, got {sp}")
         if v.size and not (v.min() >= HU_MIN and v.max() <= HU_MAX):
             raise ValueError(f"HU values outside [{HU_MIN:g}, {HU_MAX:g}]")
         object.__setattr__(self, "values", v)
@@ -273,6 +273,17 @@ def write_volume(path_base, vol: Volume) -> None:
     raw.transpose(2, 1, 0).tofile(base + ".vraw")
 
 
+def _header_triple(base, fields, key, convert) -> tuple:
+    """The three finite positive numbers on header line ``key``."""
+    try:
+        values = tuple(convert(v) for v in fields[key].split())
+    except ValueError:
+        values = ()
+    if len(values) != 3 or not all(0 < v < math.inf for v in values):
+        raise ValueError(f"{base}.vhdr: `{key}` needs three positive numbers, got {fields[key]!r}")
+    return values
+
+
 def read_volume(path_base) -> Volume:
     base = os.fspath(path_base)
     if base.endswith(".vhdr"):
@@ -290,12 +301,15 @@ def read_volume(path_base) -> Volume:
             raise ValueError(f"{base}.vhdr: missing `{req}` line")
     if fields["dtype"] != "int16le":
         raise ValueError(f"{base}.vhdr: unsupported dtype {fields['dtype']!r}")
-    nx, ny, nz = (int(v) for v in fields["dims"].split())
-    spacing = tuple(float(v) for v in fields["spacing_mm"].split())
+    nx, ny, nz = _header_triple(base, fields, "dims", int)
+    spacing = _header_triple(base, fields, "spacing_mm", float)
     raw = np.fromfile(base + ".vraw", dtype="<i2")
     if raw.size != nx * ny * nz:
         raise ValueError(f"{base}.vraw: expected {nx * ny * nz} samples, got {raw.size}")
-    return Volume(values=raw.reshape(nz, ny, nx).transpose(2, 1, 0), spacing=spacing)
+    try:
+        return Volume(values=raw.reshape(nz, ny, nx).transpose(2, 1, 0), spacing=spacing)
+    except ValueError as exc:
+        raise ValueError(f"{base}.vraw: {exc}") from exc
 
 
 def write_pgm(path, image: np.ndarray) -> None:

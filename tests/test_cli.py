@@ -150,6 +150,21 @@ class TestTrainEvalInfer:
         planes = read_plane_file(out_file)
         assert list(planes) == ["axial", "sagittal", "coronal"]
 
+    def test_infer_on_nan_spacing_exits_1_naming_the_file(self, dataset_dir, trained_dir, tmp_path, capsys):
+        src = dataset_dir / "vol_p000_v0"
+        (tmp_path / "bad.vraw").write_bytes(src.with_suffix(".vraw").read_bytes())
+        hdr = src.with_suffix(".vhdr").read_text().splitlines()
+        hdr = ["spacing_mm: nan 8 8" if line.startswith("spacing_mm:") else line for line in hdr]
+        (tmp_path / "bad.vhdr").write_text("\n".join(hdr) + "\n")
+        out_file = tmp_path / "pred.planes"
+        code = run_cli(
+            "infer", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+            "--volume", str(tmp_path / "bad.vhdr"), "--out", str(out_file),
+        )
+        assert code == 1
+        assert f"{tmp_path / 'bad'}.vhdr: `spacing_mm`" in capsys.readouterr().err
+        assert not out_file.exists()
+
     def test_mpr_export_writes_three_pgm(self, dataset_dir, tmp_path):
         out = tmp_path / "slices"
         code = run_cli(

@@ -27,9 +27,9 @@ def _direct_conv(x, w, bias):
 def _adjoint_sums(x, w, gout):
     """Weight, bias and input gradients as explicit sums over every tap.
 
-    The input gradient scatters each tap's contribution back into the padded
-    input, so it shares no code path with the kernel's flipped-weight
-    correlation.
+    The input gradient scatters each tap's contribution back into the whole
+    padded input, one output channel at a time, while the kernel multiplies
+    column slabs and scatters one slab of all channels at a time.
     """
     B, C, D, H, W = x.shape
     O = w.shape[0]
@@ -111,6 +111,65 @@ class TestConv:
         for s in range(3):
             single = _kernels.conv3d_forward(x[s : s + 1], w, bias)
             assert single[0].tobytes() == batched[s].tobytes()
+
+
+class TestSlabs:
+    """Odd shapes split into several slabs of output depths, with a shorter tail."""
+
+    SHAPE = (2, 3, 7, 5, 6)  # D = 7 in slabs of 3, 3 and 1 depths
+
+    @pytest.fixture(autouse=True)
+    def three_depth_slabs(self, monkeypatch):
+        _, C, _, H, W = self.SHAPE
+        monkeypatch.setattr(_kernels, "_SLAB", 3 * C * 27 * H * W)
+        drawn = []
+        column_slabs = _kernels._column_slabs
+
+        def recording(x, dtype):
+            for s, z0, n, cols in column_slabs(x, dtype):
+                drawn.append((s, z0, n))
+                yield s, z0, n, cols
+
+        monkeypatch.setattr(_kernels, "_column_slabs", recording)
+        yield
+        slabs = [(z0, n) for _, z0, n in drawn]
+        assert slabs and slabs == [(0, 3), (3, 3), (6, 1)] * (len(slabs) // 3)
+
+    def _operands(self, seed, B=None, dtype=np.float64):
+        rng = np.random.default_rng(seed)
+        shape = self.SHAPE if B is None else (B,) + self.SHAPE[1:]
+        x = rng.standard_normal(shape).astype(dtype)
+        w = rng.standard_normal((4, shape[1], 3, 3, 3)).astype(dtype)
+        gout = rng.standard_normal((shape[0], 4) + shape[2:]).astype(dtype)
+        return x, w, gout
+
+    def test_forward_matches_shifted_sum(self):
+        x, w, _ = self._operands(50)
+        bias = np.random.default_rng(51).standard_normal(4)
+        np.testing.assert_allclose(_kernels.conv3d_forward(x, w, bias), _direct_conv(x, w, bias), rtol=1e-12, atol=1e-12)
+
+    def test_gradients_match_adjoint_sums(self):
+        x, w, gout = self._operands(52)
+        for got, ref in zip(_kernels.conv3d_backward(x, w, gout), _adjoint_sums(x, w, gout)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    def test_no_input_gradient_when_not_needed(self):
+        x, w, gout = self._operands(53)
+        gx, gw, gb = _kernels.conv3d_backward(x, w, gout, need_gx=False)
+        _, ref_gw, ref_gb = _adjoint_sums(x, w, gout)
+        assert gx is None
+        np.testing.assert_allclose(gw, ref_gw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gb, ref_gb, rtol=1e-12, atol=1e-12)
+
+    def test_batch_rows_bitwise_equal_single_samples(self):
+        x, w, gout = self._operands(54, B=3, dtype=np.float32)
+        bias = np.random.default_rng(55).standard_normal(4).astype(np.float32)
+        out = _kernels.conv3d_forward(x, w, bias)
+        gx = _kernels.conv3d_backward(x, w, gout)[0]
+        for s in range(3):
+            one = slice(s, s + 1)
+            assert _kernels.conv3d_forward(x[one], w, bias).tobytes() == out[one].tobytes()
+            assert _kernels.conv3d_backward(x[one], w, gout[one])[0].tobytes() == gx[one].tobytes()
 
 
 class TestMaxPool:

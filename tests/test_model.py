@@ -1,9 +1,13 @@
 import json
+import os
 import re
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planereg import engine
 from planereg.engine import Tensor
@@ -231,6 +235,31 @@ class TestEngineOps:
         with pytest.raises(RuntimeError):
             engine.tsum(out).backward()
 
+    def test_pool_then_relu_bitwise_equals_relu_then_pool(self):
+        rng = np.random.default_rng(14)
+        y = rng.standard_normal((2, 3, 4, 4, 6)).astype(np.float32)
+        y[0, 0, :2, :2, :2] = -rng.uniform(0.5, 2.0, (2, 2, 2))  # all negative
+        y[0, 1, :2, :2, :2] = -1.0
+        y[0, 1, 1, 0, 1] = 0.0  # maximum 0, away from the block's first voxel
+        y[0, 2, :2, :2, :2] = -1.0
+        y[0, 2, 0, 1, 1] = y[0, 2, 1, 0, 0] = 1.5  # a tie at a positive maximum
+        y[1, 0, :2, :2, :2] = 0.0  # an all-zero block
+        g = rng.standard_normal((2, 3, 2, 2, 3)).astype(np.float32)
+        g[:, :, 0, 0, 0] = -np.abs(g[:, :, 0, 0, 0])  # negative gradient on every special block
+
+        def run(first, second):
+            t = Tensor(y.copy(), requires_grad=True)
+            out = second(first(t))
+            engine.tsum(engine.mul(out, g)).backward()
+            return out.data, t.grad
+
+        pool_first = run(engine.maxpool3d, engine.relu)
+        relu_first = run(engine.relu, engine.maxpool3d)
+        assert pool_first[0].tobytes() == relu_first[0].tobytes()
+        assert pool_first[1].tobytes() == relu_first[1].tobytes()
+        assert not np.any(pool_first[1][0, :2, :2, :2, :2])
+        assert pool_first[1][0, 2, 0, 1, 1] == g[0, 2, 0, 0, 0] and pool_first[1][0, 2, 1, 0, 0] == 0.0
+
     def test_maxpool_matches_block_max(self):
         from planereg import _kernels
 
@@ -353,3 +382,51 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\0\0\0\0")
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: trailing bytes"):
             load_checkpoint(path)
+
+
+@st.composite
+def small_configs(draw):
+    channels = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    return NetworkConfig(
+        representation=draw(st.sampled_from(list(RotationKind))),
+        n_planes=draw(st.integers(1, 3)),
+        combined=draw(st.booleans()),
+        in_dims=draw(st.integers(2 ** len(channels), 8)),
+        channels=channels,
+        fc_widths=tuple(draw(st.lists(st.integers(1, 8), max_size=2))),
+    )
+
+
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+
+
+class TestCheckpointProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        config=small_configs(),
+        bits_seed=st.integers(0, 2**32 - 1),
+        extra=st.dictionaries(st.text(max_size=8), JSON_LEAVES | st.lists(JSON_LEAVES, max_size=3), max_size=3),
+        data=st.data(),
+    )
+    def test_round_trip_is_bitwise_and_every_cut_is_named(self, config, bits_seed, extra, data):
+        net = PlaneRegressionNet(config, rng=None)
+        rng = np.random.default_rng(bits_seed)
+        for _, p in net.named_parameters():
+            # arbitrary bit patterns: NaN payloads, infinities, subnormals, signed zeros
+            p.data = rng.integers(0, 2**32, p.data.shape, dtype=np.uint32).view(np.float32)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ck.bin")
+            save_checkpoint(path, net, extra=extra)
+            loaded, loaded_extra = load_checkpoint(path)
+            assert loaded.config == config
+            assert loaded_extra == extra
+            assert [n for n, _ in loaded.named_parameters()] == [n for n, _ in net.named_parameters()]
+            for (_, p), (_, q) in zip(net.named_parameters(), loaded.named_parameters()):
+                assert q.data.dtype == np.float32 and q.data.tobytes() == p.data.tobytes()
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+            with open(path, "wb") as fh:
+                fh.write(raw[:cut])
+            with pytest.raises(ValueError, match=re.escape(path)):
+                load_checkpoint(path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,11 @@ class TestVolumeType:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             Volume(values=np.full((2, 2, 2), np.nan), spacing=1.0)
+
+    @pytest.mark.parametrize("spacing", [np.nan, np.inf, (1.0, np.nan, 1.0), (1.0, 1.0, np.inf), (1.0, -2.0, 1.0)])
+    def test_non_finite_or_non_positive_spacing_rejected(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be finite and positive"):
+            Volume(values=np.zeros((2, 2, 2), dtype=np.int16), spacing=spacing)
 
     def test_extent(self):
         v = constant_volume(dims=(64, 64, 64), spacing=2.5)
@@ -325,6 +332,38 @@ class TestVolumeFiles:
         hdr = (tmp_path / "vol.vhdr").read_text().replace("int16le", "float32")
         (tmp_path / "vol.vhdr").write_text(hdr)
         with pytest.raises(ValueError, match="dtype"):
+            read_volume(tmp_path / "vol")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "dims: 4 4",
+            "dims: 4 4 x",
+            "dims: -4 -4 4",
+            "dims: 4 0 4",
+            "dims: 4 4 4 4",
+            "spacing_mm: nan 8 8",
+            "spacing_mm: 8 inf 8",
+            "spacing_mm: 8 8",
+            "spacing_mm: 8 -8 8",
+            "spacing_mm: 8 8 mm",
+        ],
+    )
+    def test_bad_dims_or_spacing_line_names_file_and_key(self, tmp_path, line):
+        write_volume(tmp_path / "vol", constant_volume(dims=(4, 4, 4)))
+        key = line.partition(":")[0]
+        lines = (tmp_path / "vol.vhdr").read_text().splitlines()
+        hdr = "\n".join(line if old.startswith(key + ":") else old for old in lines)
+        (tmp_path / "vol.vhdr").write_text(hdr + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'vol'}.vhdr: `{key}` needs three positive numbers")):
+            read_volume(tmp_path / "vol")
+
+    def test_out_of_range_values_name_the_file(self, tmp_path):
+        write_volume(tmp_path / "vol", constant_volume(dims=(4, 4, 4)))
+        raw = np.fromfile(tmp_path / "vol.vraw", dtype="<i2")
+        raw[5] = 5000
+        raw.tofile(tmp_path / "vol.vraw")
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'vol'}.vraw: HU values outside")):
             read_volume(tmp_path / "vol")
 
     def test_size_mismatch_detected(self, tmp_path):
