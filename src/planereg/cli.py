@@ -185,10 +185,13 @@ def _cmd_infer(args) -> None:
 def _cmd_mpr_export(args) -> None:
     vol = read_volume(args.volume)
     planes = read_plane_file(args.planes)
+    if args.size <= 0:
+        raise ConfigError(f"--size must be a positive integer, got {args.size}")
     px = args.px_spacing if args.px_spacing is not None else max(vol.extent_mm) / args.size
+    # render before writing, so that a bad --px-spacing leaves no output behind
+    images = {name: extract_mpr_slice(vol, frame, size=args.size, px_spacing=px) for name, frame in planes.items()}
     os.makedirs(args.out, exist_ok=True)
-    for name, frame in planes.items():
-        img = extract_mpr_slice(vol, frame, size=args.size, px_spacing=px)
+    for name, img in images.items():
         write_pgm(os.path.join(args.out, f"{name}.pgm"), img)
     _lock(args.out, {"size": args.size, "px_spacing": px}, directory=True)
     print(f"wrote {len(planes)} slices to {args.out}")

@@ -100,8 +100,8 @@ class WindowConfig:
             raise ValueError("gain must be positive")
 
 
-# points per interpolation pass: each pass's float64 temporaries (at most
-# 192 KB) stay in malloc's heap, where a whole grid's would be mapped and
+# points per interpolation chunk: each chunk's float64 temporaries (64 KB
+# each) stay in malloc's heap, where a whole grid's would be mapped and
 # faulted in afresh on every call
 _CHUNK = 8192
 
@@ -110,9 +110,13 @@ def trilinear_sample(vol: Volume, points: np.ndarray) -> np.ndarray:
     """Trilinear interpolation of world-space points, one pass.
 
     ``points`` has shape ``(..., 3)`` in mm.  Interpolation runs over the 8
-    surrounding voxel centers; points outside the voxel-center hull return
-    the air fill value of -1024 HU.  The points are taken ``_CHUNK`` at a
-    time; every point's value is the same whatever the chunking.
+    surrounding voxel centers; points outside the voxel-center hull, and
+    NaN or infinite points, return the air fill value of -1024 HU.  The
+    points are taken ``_CHUNK`` at a time, and each chunk works on its
+    coordinate columns ``points[..., d]`` one axis at a time.  A
+    component-major view, ``np.moveaxis(pts, 0, -1)`` of a ``(3, ...)``
+    array, makes those columns contiguous and is read without a copy.
+    Every point's value is the same whatever the chunking or the layout.
     """
     global _INTERP_CALLS
     _INTERP_CALLS += 1
@@ -131,38 +135,47 @@ def trilinear_sample(vol: Volume, points: np.ndarray) -> np.ndarray:
     src = values if values.flags.c_contiguous or values.flags.f_contiguous else np.ascontiguousarray(values)
     flat = src.reshape(-1, order="A")
     strides = tuple(s // src.itemsize for s in src.strides)  # element strides
-    dims = np.array(values.shape, dtype=np.float64)
-    spacing = np.array(vol.spacing, dtype=np.float64)
     for start in range(0, len(p), _CHUNK):
-        chunk = p[start : start + _CHUNK].astype(np.float64)
-        out[start : start + _CHUNK] = _trilinear(flat, strides, dims, spacing, chunk)
+        out[start : start + _CHUNK] = _trilinear(flat, strides, values.shape, vol.spacing, p[start : start + _CHUNK])
     return out.reshape(out_shape)
 
 
 def _trilinear(flat, strides, dims, spacing, p):
-    """Values at the ``(n, 3)`` float64 points ``p`` of the grid ``flat`` of shape ``dims``."""
+    """Values at the ``(n, 3)`` points ``p`` of the grid ``flat`` of shape ``dims``."""
     eps = 1e-9
-    u = p / spacing + (dims - 1.0) / 2.0
-    inside = np.all((u >= -eps) & (u <= dims - 1.0 + eps), axis=1)
-
-    i0 = np.maximum(np.floor(u).astype(np.int64), 0)
-    np.clip(i0, 0, dims.astype(np.int64) - 2, out=i0)
-    f = u - i0
-    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-    gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
+    inside = np.ones(len(p), dtype=bool)
+    base = np.zeros(len(p))
+    frac = []
+    for col, n, s, stride in zip(p.T, dims, spacing, strides):
+        u = np.divide(col, s, dtype=np.float64)  # voxel index coordinate
+        u += (n - 1) / 2.0
+        # fmax and fmin drop NaN: NaN and infinite points land outside the
+        # hull at finite coordinates, so the lerps below raise no warnings
+        np.fmax(u, -1.0, out=u)
+        np.fmin(u, float(n), out=u)
+        inside &= u >= -eps
+        inside &= u <= n - 1.0 + eps
+        cell = np.clip(np.floor(u), 0.0, n - 2.0)
+        u -= cell
+        frac.append(u)
+        cell *= stride
+        base += cell  # exact: flat indices are integers far below 2**53
+    idx = base.astype(np.intp)
 
     sx, sy, sz = strides
-    base = i0[:, 0] * sx + i0[:, 1] * sy + i0[:, 2] * sz
-    c000, c001, c010, c011, c100, c101, c110, c111 = (
-        flat[base + o].astype(np.float64, copy=False)
-        for o in (0, sz, sy, sy + sz, sx, sx + sz, sx + sy, sx + sy + sz)
-    )
+    # corners in (x, y, z) bit order, then lerp along z, y and x in turn
+    c = [flat.take(idx + o) for o in (0, sz, sy, sy + sz, sx, sx + sz, sx + sy, sx + sy + sz)]
+    for f in reversed(frac):
+        c = [_lerp(c0, c1, f) for c0, c1 in zip(c[::2], c[1::2])]
+    return np.where(inside, c[0], FILL_HU)
 
-    res = (
-        gx * (gy * (gz * c000 + fz * c001) + fy * (gz * c010 + fz * c011))
-        + fx * (gy * (gz * c100 + fz * c101) + fy * (gz * c110 + fz * c111))
-    )
-    return np.where(inside, res, FILL_HU)
+
+def _lerp(c0, c1, f):
+    """``c0 + f * (c1 - c0)`` in float64, whatever the dtype of the corners."""
+    r = np.subtract(c1, c0, dtype=np.float64)
+    r *= f
+    r += c0
+    return r
 
 
 def resample(vol: Volume, T: np.ndarray, out_dims, out_spacing) -> Volume:
@@ -170,7 +183,10 @@ def resample(vol: Volume, T: np.ndarray, out_dims, out_spacing) -> Volume:
 
     The output voxel at world point ``q`` takes the value of the input volume
     at ``T^-1 q``; composing any number of transforms into ``T`` beforehand
-    keeps the pass count at one.
+    keeps the pass count at one.  The source points are built one component
+    at a time into a ``(3, nx, ny, nz)`` array, as outer sums of the scaled
+    grid axes, and passed to :func:`trilinear_sample` as its component-major
+    view.
     """
     T = np.asarray(T, dtype=float)
     try:
@@ -180,13 +196,11 @@ def resample(vol: Volume, T: np.ndarray, out_dims, out_spacing) -> Volume:
 
     dims = _as_triple(out_dims, int)
     spacing = _as_triple(out_spacing)
-    axes = [
-        (np.arange(n, dtype=float) - (n - 1) / 2.0) * s for n, s in zip(dims, spacing)
-    ]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    q = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-    src = q @ Tinv[:3, :3].T + Tinv[:3, 3]
-    out = trilinear_sample(vol, src).reshape(dims)
+    ax, ay, az = ((np.arange(n, dtype=float) - (n - 1) / 2.0) * s for n, s in zip(dims, spacing))
+    pts = np.empty((3, *dims))
+    for d in range(3):
+        np.add.outer(np.add.outer(Tinv[d, 0] * ax, Tinv[d, 1] * ay), Tinv[d, 2] * az + Tinv[d, 3], out=pts[d])
+    out = trilinear_sample(vol, np.moveaxis(pts, 0, -1))
     return Volume(values=out, spacing=spacing)
 
 
@@ -236,17 +250,25 @@ def extract_mpr_slice(
     Pixel ``(i, j)`` samples the volume at
     ``A + (i - (w-1)/2) * px * e_u + (j - (h-1)/2) * px * e_v`` with ``j``
     increasing upward; the returned array is in display order (row 0 on top).
-    Intensities go through clip/rescale plus windowing before quantization.
+    The points are built one component at a time into a ``(3, h, w)`` array
+    and sampled through its component-major view.  Intensities go through
+    clip/rescale plus windowing before quantization.  ``size`` is one side
+    length or ``(w, h)`` in pixels, each a positive integer, and
+    ``px_spacing`` is finite and positive.
     """
-    w, h = (int(size), int(size)) if np.isscalar(size) else (int(size[0]), int(size[1]))
-    iu = (np.arange(w, dtype=float) - (w - 1) / 2.0) * float(px_spacing)
-    jv = (np.arange(h, dtype=float) - (h - 1) / 2.0) * float(px_spacing)
-    pts = (
-        plane.A[None, None, :]
-        + iu[None, :, None] * plane.e_u[None, None, :]
-        + jv[:, None, None] * plane.e_v[None, None, :]
-    )
-    hu = trilinear_sample(vol, pts.reshape(-1, 3)).reshape(h, w)
+    w, h = (size, size) if np.isscalar(size) else size
+    if not all(float(n).is_integer() and n > 0 for n in (w, h)):
+        raise ValueError(f"size must be a positive integer, got {size!r}")
+    px = float(px_spacing)
+    if not 0.0 < px < math.inf:
+        raise ValueError(f"px_spacing must be finite and positive, got {px_spacing!r}")
+    w, h = int(w), int(h)
+    iu = (np.arange(w, dtype=float) - (w - 1) / 2.0) * px
+    jv = (np.arange(h, dtype=float) - (h - 1) / 2.0) * px
+    pts = np.empty((3, h, w))
+    for d in range(3):
+        np.add.outer(jv * plane.e_v[d], plane.A[d] + iu * plane.e_u[d], out=pts[d])
+    hu = trilinear_sample(vol, np.moveaxis(pts, 0, -1))
     img = window(clip_rescale(hu, cfg), cfg.gain)
     img8 = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     return img8[::-1, :]  # row 0 = top of the image

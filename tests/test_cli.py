@@ -178,6 +178,28 @@ class TestTrainEvalInfer:
         blob = (out / "axial.pgm").read_bytes()
         assert blob.startswith(b"P5\n32 32\n255\n")
 
+    @pytest.mark.parametrize(
+        "option,value,named",
+        [
+            ("--size", "0", "--size"),
+            ("--size", "-5", "--size"),
+            ("--px-spacing", "0", "px_spacing"),
+            ("--px-spacing", "nan", "px_spacing"),
+            ("--px-spacing", "-1", "px_spacing"),
+            ("--px-spacing", "inf", "px_spacing"),
+        ],
+    )
+    def test_mpr_export_rejects_bad_size_or_spacing(self, dataset_dir, tmp_path, capsys, option, value, named):
+        out = tmp_path / "slices"
+        code = run_cli(
+            "mpr-export", "--volume", str(dataset_dir / "vol_p000_v0.vhdr"),
+            "--planes", str(dataset_dir / "vol_p000_v0.planes"), option, value,
+            "--out", str(out),
+        )
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_xval_writes_fold_reports(self, dataset_dir, tmp_path):
         out = tmp_path / "xval"
         code = run_cli(

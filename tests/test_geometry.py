@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -356,6 +359,26 @@ class TestPlaneFile:
         for name in frames:
             assert np.max(np.abs(back[name].A - frames[name].A)) < 1e-12
             assert np.max(np.abs(back[name].e_u - frames[name].e_u)) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        centers=st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3), min_size=1, max_size=3),
+    )
+    def test_round_trip_is_bitwise(self, seed, centers):
+        names = ("axial", "sagittal", "coronal")
+        frames = {
+            name: rotation_to_frame(R, A)
+            for name, R, A in zip(names, random_rotations(len(centers), seed=seed), centers)
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "planes.txt")
+            write_plane_file(path, frames)
+            back = read_plane_file(path)
+        assert list(back) == list(frames)
+        for name, frame in frames.items():
+            for field in ("A", "e_u", "e_v"):
+                assert getattr(back[name], field).tobytes() == getattr(frame, field).tobytes()
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "planes.txt"

@@ -1,7 +1,13 @@
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from planereg import volume
 from planereg.geometry import (
@@ -15,6 +21,8 @@ from planereg.geometry import (
 from planereg.volume import (
     DEFAULT_GAIN,
     FILL_HU,
+    HU_MAX,
+    HU_MIN,
     Volume,
     WindowConfig,
     clip_rescale,
@@ -114,6 +122,32 @@ class TestTrilinearSample:
         assert np.array_equal(trilinear_sample(v, pts[:1]), got.reshape(-1)[:1])
         assert np.any(got == FILL_HU) and np.any(got != FILL_HU)
 
+    def test_component_major_view_matches_contiguous_copy(self):
+        # a (3, ...) array seen through np.moveaxis has contiguous coordinate
+        # columns; its values must not differ from those of a C-ordered copy
+        rng = np.random.default_rng(7)
+        v = Volume(values=np.asfortranarray(rng.integers(-1000, 2000, size=(9, 8, 7)).astype(np.int16)),
+                   spacing=(2.0, 1.5, 1.0))
+        for shape in ((1,), (volume._CHUNK + 1,), (5, 7, 2 * volume._CHUNK // 35 + 3)):
+            pts = rng.uniform(-10, 10, size=(3, *shape))
+            view = np.moveaxis(pts, 0, -1)
+            assert np.shares_memory(view.reshape(-1, 3), pts)
+            got = trilinear_sample(v, view)
+            assert got.shape == shape
+            assert np.array_equal(got, trilinear_sample(v, np.ascontiguousarray(view)))
+        assert np.any(got == FILL_HU) and np.any(got != FILL_HU)
+
+    def test_nan_and_infinite_points_read_fill_without_warnings(self):
+        v = constant_volume(value=500, dims=(6, 6, 6), spacing=2.0)
+        nan, inf = np.nan, np.inf
+        pts = np.array([[nan, 0, 0], [0, inf, 0], [0, 0, -inf], [inf, nan, -inf], [-inf, -inf, -inf], [0, 0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = trilinear_sample(v, pts)
+            got_major = trilinear_sample(v, np.moveaxis(np.ascontiguousarray(pts.T), 0, -1))
+        assert np.all(got[:-1] == FILL_HU) and got[-1] == 500
+        assert np.array_equal(got, got_major)
+
     def test_counter_increments_once_per_call(self):
         v = constant_volume()
         reset_interpolation_counter()
@@ -174,6 +208,26 @@ class TestResample:
         reset_interpolation_counter()
         resample(v, np.eye(4), 8, 1.0)
         assert interpolation_call_count() == 1
+
+    def test_matches_trilinear_sample_at_independent_points(self):
+        # a Fortran-ordered int16 source, as read_volume returns it; values
+        # far from zero keep the relative error meaningful
+        rng = np.random.default_rng(8)
+        v = Volume(values=np.asfortranarray(rng.integers(100, 3000, size=(20, 18, 16)).astype(np.int16)),
+                   spacing=(1.5, 2.0, 2.5))
+        T = compose_transforms(
+            [rotation_transform(rotation_about_axis([1, -2, 3], 0.7)), translation_transform([4, -3, 2])]
+        )
+        out = resample(v, T, (14, 13, 12), 2.1)
+        Tinv = np.linalg.inv(T)
+        gx, gy, gz = np.meshgrid(*out.axis_coords(), indexing="ij")
+        q = np.stack([gx, gy, gz], axis=-1)
+        want = trilinear_sample(v, q @ Tinv[:3, :3].T + Tinv[:3, 3])
+        inside = want != FILL_HU
+        assert inside.sum() > 500 and not inside.all()
+        assert np.array_equal(out.values != FILL_HU, inside)
+        err = np.abs(out.values[inside] - want[inside]) / want[inside]
+        assert np.max(err) < 64 * np.finfo(np.float32).eps
 
     def test_rigid_transform_reproduces_affine_field(self):
         # trilinear interpolation is exact on an affine field, so every output
@@ -304,6 +358,48 @@ class TestMprSlice:
         assert img[0].mean() > img[-1].mean()
 
 
+    def test_each_pixel_is_the_windowed_sample_at_its_documented_point(self):
+        rng = np.random.default_rng(9)
+        v = Volume(values=rng.integers(-1000, 2000, size=(12, 10, 11)).astype(np.int16), spacing=(2.0, 2.5, 1.5))
+        R = rotation_about_axis([1, 2, -1], 0.6)
+        plane = PlaneFrame(A=[1.5, -2.0, 0.5], e_u=R[:, 0], e_v=R[:, 1])
+        w, h, px = 23, 17, 0.9
+        cfg = WindowConfig(clip_lo=-600.0, clip_hi=1500.0)
+        img = extract_mpr_slice(v, plane, size=(w, h), px_spacing=px, cfg=cfg)
+        assert img.shape == (h, w)
+        # row 0 is the top of the image, where j = h - 1
+        points = np.array([
+            [plane.A + (i - (w - 1) / 2.0) * px * plane.e_u + (j - (h - 1) / 2.0) * px * plane.e_v for i in range(w)]
+            for j in range(h - 1, -1, -1)
+        ])
+        hu = trilinear_sample(v, points)
+        want = np.clip(np.rint(window(clip_rescale(hu, cfg), cfg.gain) * 255.0), 0, 255).astype(np.uint8)
+        assert np.any(hu == FILL_HU) and np.any(hu != FILL_HU)
+        assert np.array_equal(img, want)
+
+    @pytest.mark.parametrize("size", [0, -5, (16, 0), 2.5, np.nan])
+    def test_bad_size_rejected(self, size):
+        v = constant_volume()
+        p = PlaneFrame(A=np.zeros(3), e_u=[1, 0, 0], e_v=[0, 1, 0])
+        with pytest.raises(ValueError, match="size must be a positive integer"):
+            extract_mpr_slice(v, p, size=size)
+
+    @pytest.mark.parametrize("px", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_px_spacing_rejected(self, px):
+        v = constant_volume()
+        p = PlaneFrame(A=np.zeros(3), e_u=[1, 0, 0], e_v=[0, 1, 0])
+        with pytest.raises(ValueError, match="px_spacing must be finite and positive"):
+            extract_mpr_slice(v, p, size=8, px_spacing=px)
+
+
+@st.composite
+def hu_grids(draw):
+    """int16 HU grids of 2-6 voxels per axis, C- or Fortran-ordered."""
+    shape = draw(st.tuples(*[st.integers(2, 6)] * 3))
+    values = draw(hnp.arrays(np.int16, shape, elements=st.integers(int(HU_MIN), int(HU_MAX))))
+    return np.asfortranarray(values) if draw(st.booleans()) else values
+
+
 class TestVolumeFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -313,6 +409,18 @@ class TestVolumeFiles:
         assert back.spacing == v.spacing
         assert np.array_equal(back.values, v.values)
         assert back.values.dtype == np.int16
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=hu_grids(),
+        spacing=st.tuples(*[st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)] * 3),
+    )
+    def test_round_trip_property(self, values, spacing):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_volume(Path(tmp) / "vol", Volume(values=values, spacing=spacing))
+            back = read_volume(Path(tmp) / "vol")
+        assert np.array_equal(back.values, values)
+        assert np.array(back.spacing).tobytes() == np.array(spacing).tobytes()
 
     def test_accepts_vhdr_path(self, tmp_path):
         v = constant_volume(value=100)
