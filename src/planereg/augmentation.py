@@ -15,6 +15,7 @@ sub-keys so per-sample generators are reproducible regardless of scheduling.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ from .volume import Volume, WindowConfig, intensity_pipeline, resample
 _STREAM_IDS = {"spatial": 0, "intensity": 1, "mirror": 2}
 
 _out_of_cube = 0
+_OUT_OF_CUBE_LOCK = threading.Lock()  # samples may be augmented on several threads at once
 
 
 def out_of_cube_count() -> int:
@@ -202,12 +204,14 @@ def augment_sample(
     global _out_of_cube
     T, mirrored, factor = sample_augmentation(cfg, rng)
     resampled = resample(vol, T, cfg.out_dims, cfg.out_spacing)
-    image = intensity_pipeline(resampled.values, window_cfg, factor).astype(np.float32)
+    # resample returns a transposed view; the network takes C order, so convert once here
+    image = intensity_pipeline(resampled.values, window_cfg, factor).astype(np.float32, order="C")
     moved = [transform_plane(T, p) for p in planes]
     target = encode_plane_targets(moved, kind, cfg.extent_mm)
 
     out = any(np.any(np.abs(normalize_translation(p.A, cfg.extent_mm)) > 0.5) for p in moved)
-    _out_of_cube += int(out)
+    with _OUT_OF_CUBE_LOCK:
+        _out_of_cube += int(out)
     return AugmentedSample(
         image=image,
         planes=moved,
@@ -222,4 +226,4 @@ def augment_sample(
 def center_input(vol: Volume, out_dims: int, out_spacing: float, window_cfg: WindowConfig = WindowConfig()) -> np.ndarray:
     """Deterministic test-time input: center resample plus intensity pipeline."""
     resampled = resample(vol, identity_transform(), out_dims, out_spacing)
-    return intensity_pipeline(resampled.values, window_cfg, 1.0).astype(np.float32)
+    return intensity_pipeline(resampled.values, window_cfg, 1.0).astype(np.float32, order="C")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._kernels import _map_tasks
 from .augmentation import AugmentConfig, SeededRng, augment_sample, center_input, decode_plane_vector
 from .config import ConfigError, Field, field_values, schema
 from .geometry import DegenerateEncodingError, PlaneFrame, RotationKind, read_plane_file
@@ -292,18 +293,22 @@ def train(
             batch = order[start : start + cfg.batch_size]
             images = np.empty((len(batch), 1, cfg.out_dims, cfg.out_dims, cfg.out_dims), dtype=np.float32)
             targets = np.empty((len(batch), net.config.n_out), dtype=np.float32)
-            for row, idx in enumerate(batch):
+
+            def fill(row):
+                idx = int(batch[row])
                 s = samples[idx]
                 aug = augment_sample(
                     s.volume,
                     [s.planes[n] for n in names],
                     aug_cfg,
-                    base_rng.derive(_AUG_TAG, epoch, int(idx)),
+                    base_rng.derive(_AUG_TAG, epoch, idx),
                     kind=cfg.representation,
                 )
                 images[row, 0] = aug.image
                 targets[row] = aug.target
-                out_of_cube += int(aug.center_out_of_bounds)
+                return aug.center_out_of_bounds
+
+            out_of_cube += sum(_map_tasks(fill, len(batch), cfg.out_dims**3))
             pred = net.forward(images)
             node = loss_graph(pred, targets, weights, cfg.representation, len(names), cfg.orthogonality_form)
             value = node.item()

@@ -1,12 +1,17 @@
 import logging
 import os
 import re
+import signal
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from planereg import harness
+from planereg import _kernels, augmentation, harness, volume
 from planereg.augmentation import AugmentConfig
 from planereg.config import ConfigError, format_config, read_config_file, resolve
 from planereg.geometry import RotationKind
@@ -263,6 +268,59 @@ class _GroundTruthStub:
         return out
 
 
+class TestTrainOnPool:
+    """``train`` with every kernel call and batch fill sent to the thread pool."""
+
+    @pytest.fixture
+    def pool_of(self, monkeypatch):
+        """Installs a pool of ``n`` workers as the process's pool; 0 runs every call inline."""
+        pools = []
+
+        def install(n):
+            monkeypatch.setattr(_kernels, "_MIN_TASK", 0 if n else 1 << 62)
+            if n:
+                pools.append(ThreadPoolExecutor(max_workers=n))
+                monkeypatch.setattr(_kernels, "_pool", pools[-1])
+                monkeypatch.setattr(_kernels, "_pool_pid", os.getpid())
+
+        yield install
+        for pool in pools:
+            pool.shutdown()
+
+    def test_checkpoint_bytes_equal_whatever_the_worker_count(self, tiny_samples, tmp_path, pool_of):
+        cfg = tiny_config(epochs=2)
+        for n in (0, 1, 2):
+            pool_of(n)
+            train(cfg, tiny_samples, checkpoint_path=tmp_path / f"{n}.bin")
+        one = (tmp_path / "1.bin").read_bytes()
+        assert (tmp_path / "0.bin").read_bytes() == one == (tmp_path / "2.bin").read_bytes()
+
+    def test_counters_lose_no_update(self, tiny_samples, monkeypatch, pool_of):
+        # more workers than cores, switching threads as often as the interpreter allows
+        pool_of(4)
+        flags = []
+        augment = harness.augment_sample
+
+        def recording(*args, **kwargs):
+            aug = augment(*args, **kwargs)
+            flags.append(aug.center_out_of_bounds)
+            return aug
+
+        monkeypatch.setattr(harness, "augment_sample", recording)
+        cfg = tiny_config(epochs=3, trans_mm=100.0)
+        passes, out_of_cube = volume.interpolation_call_count(), augmentation.out_of_cube_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = train(cfg, tiny_samples)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(flags) == cfg.epochs * len(tiny_samples)
+        assert volume.interpolation_call_count() - passes == cfg.epochs * len(tiny_samples)
+        assert augmentation.out_of_cube_count() - out_of_cube == sum(flags) == result.out_of_cube
+        assert 0 < sum(flags) < len(flags)
+
+
 class TestEvaluate:
     def test_ground_truth_bypass_scores_zero(self, tiny_samples):
         cfg = tiny_config()
@@ -368,6 +426,36 @@ class TestFoldsAndAblations:
     def test_unknown_axis_rejected(self, tiny_dataset, tmp_path):
         with pytest.raises(ValueError):
             ablation_driver("optimizer", tiny_config(), tiny_dataset, tmp_path / "x")
+
+    def test_fold_workers_fork_after_pooled_kernels(self, tiny_dataset, tmp_path):
+        # a forked fold worker inherits the pool object but none of its
+        # threads; if it reused it, its first pooled call would wait forever
+        script = textwrap.dedent(f"""
+            import time
+            import numpy as np
+            from planereg import _kernels
+            from planereg.harness import ExperimentConfig, cross_validate
+            _kernels._MIN_TASK = 0
+            x = np.ones((2, 1, 4, 4, 4), dtype=np.float32)
+            _kernels.conv3d_forward(x, np.ones((2, 1, 3, 3, 3), dtype=np.float32), np.zeros(2, dtype=np.float32))
+            # tasks that outlast their submission start every worker the pool may have
+            _kernels._map_tasks(lambda i: time.sleep(0.05), 8, 0)
+            cfg = ExperimentConfig(**{tiny_config().to_values()!r})
+            print(len(cross_validate(cfg, {str(tiny_dataset)!r}, {str(tmp_path / "xval")!r}, jobs=2)))
+        """)
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        # a session of its own, so a hung fold worker is killed with its parent
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("cross_validate(jobs=2) hung after a pooled kernel call")
+        assert proc.returncode == 0, err
+        assert out.split() == [str(tiny_config().k)]
 
     @pytest.mark.slow
     def test_parallel_folds_match_sequential(self, tiny_dataset, tmp_path):

@@ -1,6 +1,7 @@
-"""The conv and pool kernels against direct loop references."""
+"""The conv and pool kernels against direct loop references, inline and pooled."""
 
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -59,7 +60,17 @@ def _first_max_pool(x, gout):
     return out, gx
 
 
-class TestConv:
+class Inline:
+    """Runs every kernel call inline; a ``Pooled`` subclass sends every call to the pool."""
+
+    MIN_TASK = 1 << 62
+
+    @pytest.fixture(autouse=True)
+    def dispatch(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_MIN_TASK", self.MIN_TASK)
+
+
+class TestConv(Inline):
     @pytest.mark.parametrize("C", [1, 3])
     def test_forward_matches_shifted_sum(self, C):
         rng = np.random.default_rng(C)
@@ -113,27 +124,35 @@ class TestConv:
             assert single[0].tobytes() == batched[s].tobytes()
 
 
-class TestSlabs:
+class TestConvPooled(TestConv):
+    MIN_TASK = 0
+
+
+class TestSlabs(Inline):
     """Odd shapes split into several slabs of output depths, with a shorter tail."""
 
     SHAPE = (2, 3, 7, 5, 6)  # D = 7 in slabs of 3, 3 and 1 depths
 
     @pytest.fixture(autouse=True)
-    def three_depth_slabs(self, monkeypatch):
+    def three_depth_slabs(self, monkeypatch, dispatch):
         _, C, _, H, W = self.SHAPE
         monkeypatch.setattr(_kernels, "_SLAB", 3 * C * 27 * H * W)
-        drawn = []
+        drawn = []  # per sample: its slabs, and whether it ran on the calling thread
         column_slabs = _kernels._column_slabs
 
-        def recording(x, dtype):
-            for s, z0, n, cols in column_slabs(x, dtype):
-                drawn.append((s, z0, n))
-                yield s, z0, n, cols
+        def recording(xs, dtype):
+            slabs = []
+            drawn.append((slabs, threading.current_thread() is threading.main_thread()))
+            for z0, n, cols in column_slabs(xs, dtype):
+                slabs.append((z0, n))
+                yield z0, n, cols
 
         monkeypatch.setattr(_kernels, "_column_slabs", recording)
         yield
-        slabs = [(z0, n) for _, z0, n in drawn]
-        assert slabs and slabs == [(0, 3), (3, 3), (6, 1)] * (len(slabs) // 3)
+        assert drawn and all(slabs == [(0, 3), (3, 3), (6, 1)] for slabs, _ in drawn)
+        on_caller = [inline for _, inline in drawn]
+        # pooled, only single-sample calls stay on the calling thread
+        assert all(on_caller) if self.MIN_TASK else not all(on_caller)
 
     def _operands(self, seed, B=None, dtype=np.float64):
         rng = np.random.default_rng(seed)
@@ -172,7 +191,11 @@ class TestSlabs:
             assert _kernels.conv3d_backward(x[one], w, gout[one])[0].tobytes() == gx[one].tobytes()
 
 
-class TestMaxPool:
+class TestSlabsPooled(TestSlabs):
+    MIN_TASK = 0
+
+
+class TestMaxPool(Inline):
     def test_all_equal_block_sends_gradient_to_first_voxel(self):
         x = np.full((1, 1, 2, 2, 2), 0.5)
         out = _kernels.maxpool3d_forward(x)
@@ -216,6 +239,65 @@ class TestMaxPool:
         gx = _kernels.maxpool3d_backward(x, out, gout)
         assert np.all(gx[:, :, 4] == 0.0) and np.all(gx[:, :, :, :, 2] == 0.0)
         assert np.array_equal(gx, _first_max_pool(x, gout)[1])
+
+
+class TestMaxPoolPooled(TestMaxPool):
+    MIN_TASK = 0
+
+
+class TestDispatch:
+    """Pooled calls against inline ones, and the pool's own rules."""
+
+    def test_pooled_results_bitwise_equal_inline(self, monkeypatch):
+        rng = np.random.default_rng(60)
+        x = rng.standard_normal((3, 4, 12, 10, 9)).astype(np.float32)
+        w = rng.standard_normal((8, 4, 3, 3, 3)).astype(np.float32)
+        bias = rng.standard_normal(8).astype(np.float32)
+        gout = rng.standard_normal((3, 8, 12, 10, 9)).astype(np.float32)
+        gpool = rng.standard_normal((3, 4, 6, 5, 4)).astype(np.float32)
+
+        def run():
+            out = _kernels.conv3d_forward(x, w, bias)
+            pooled = _kernels.maxpool3d_forward(x)
+            return (out, *_kernels.conv3d_backward(x, w, gout), _kernels.conv3d_backward(x, w, gout, need_gx=False)[1],
+                    pooled, _kernels.maxpool3d_backward(x, pooled, gpool))
+
+        monkeypatch.setattr(_kernels, "_MIN_TASK", 1 << 62)
+        inline = run()
+        monkeypatch.setattr(_kernels, "_MIN_TASK", 0)
+        for a, b in zip(inline, run()):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_weight_gradient_sums_samples_in_order(self):
+        rng = np.random.default_rng(61)
+        x = rng.standard_normal((3, 2, 5, 4, 3)).astype(np.float32)
+        w = rng.standard_normal((4, 2, 3, 3, 3)).astype(np.float32)
+        gout = rng.standard_normal((3, 4, 5, 4, 3)).astype(np.float32)
+        per_sample = [_kernels.conv3d_backward(x[s : s + 1], w, gout[s : s + 1])[1] for s in range(3)]
+        assert _kernels.conv3d_backward(x, w, gout)[1].tobytes() == ((per_sample[0] + per_sample[1]) + per_sample[2]).tobytes()
+
+    @pytest.mark.parametrize("min_task", [1 << 62, 0], ids=["inline", "pooled"])
+    def test_caller_errstate_reaches_every_task(self, monkeypatch, min_task):
+        monkeypatch.setattr(_kernels, "_MIN_TASK", min_task)
+        x = np.full((2, 1, 4, 4, 4), 1e30, dtype=np.float32)
+        w = np.full((2, 1, 3, 3, 3), 1e30, dtype=np.float32)
+        bias = np.zeros(2, dtype=np.float32)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _kernels.conv3d_forward(x, w, bias)
+        with np.errstate(over="ignore"):
+            assert np.isinf(_kernels.conv3d_forward(x, w, bias)).all()
+
+    def test_small_tasks_and_single_samples_run_inline(self):
+        calling = []
+        record = lambda i: calling.append(threading.current_thread() is threading.main_thread())
+        _kernels._map_tasks(record, 4, _kernels._MIN_TASK - 1)
+        _kernels._map_tasks(record, 1, _kernels._MIN_TASK)
+        assert calling == [True] * 5
+        _kernels._map_tasks(record, 4, _kernels._MIN_TASK)
+        assert calling[5:] == [False] * 4
+
+    def test_results_come_in_index_order(self):
+        assert _kernels._map_tasks(lambda i: i * i, 16, _kernels._MIN_TASK) == [i * i for i in range(16)]
 
 
 def test_numpy_openblas_pinned_to_one_thread():

@@ -229,6 +229,29 @@ class TestResample:
         err = np.abs(out.values[inside] - want[inside]) / want[inside]
         assert np.max(err) < 64 * np.finfo(np.float32).eps
 
+    @pytest.mark.parametrize("planes", [None, 5], ids=["one-slab", "slabs-of-5-planes"])
+    @pytest.mark.parametrize("rotated", [False, True], ids=["identity", "rotated"])
+    def test_x_fastest_points_bitwise_equal_z_fastest_build(self, rotated, planes, monkeypatch):
+        # the points as resample built them z-fastest, (x + y) + z per component;
+        # a float64 source keeps a last-bit change of any point in the output
+        rng = np.random.default_rng(9)
+        v = Volume(values=np.asfortranarray(rng.uniform(-1000, 3000, size=(30, 28, 26))), spacing=(1.5, 2.0, 2.5))
+        T = compose_transforms([rotation_transform(rotation_about_axis([1, 2, -1], 0.6)), translation_transform([3, -2, 1])])
+        T = T if rotated else np.eye(4)
+        dims, spacing = (21, 19, 17), 2.2
+        Tinv = np.linalg.inv(T)
+        ax, ay, az = ((np.arange(n) - (n - 1) / 2.0) * spacing for n in dims)
+        pts = np.empty((3, *dims))
+        for d in range(3):
+            np.add.outer(np.add.outer(Tinv[d, 0] * ax, Tinv[d, 1] * ay), Tinv[d, 2] * az + Tinv[d, 3], out=pts[d])
+        want = trilinear_sample(v, np.moveaxis(pts, 0, -1))
+        if planes is not None:  # 17 planes in slabs of 5, 5, 5 and 2
+            monkeypatch.setattr(volume, "_CHUNK", planes * dims[0] * dims[1])
+        out = resample(v, T, dims, spacing).values
+        assert out.shape == want.shape and out.flags.f_contiguous
+        assert out.tobytes(order="C") == want.tobytes(order="C")
+        assert (want != FILL_HU).sum() > 1000
+
     def test_rigid_transform_reproduces_affine_field(self):
         # trilinear interpolation is exact on an affine field, so every output
         # voxel whose source point lies inside the voxel-center hull must equal
