@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from planereg import AugmentConfig, PhantomSpec, SeededRng, augment_sample, generate_phantom
+from planereg import ExperimentConfig, PhantomSpec, SeededRng, augment_sample, generate_phantom
 from planereg.geometry import write_plane_file
 from planereg.volume import Volume, extract_mpr_slice, write_pgm, write_volume
 from planereg.geometry import compose_transforms, rotation_from_euler_zyx, rotation_transform, translation_transform
@@ -35,7 +35,7 @@ for name, frame in planes.items():
     write_pgm(os.path.join(out_dir, f"{name}.pgm"), img)
     print(f"wrote {name}.pgm; plane normal {np.round(frame.e_w, 3)}")
 
-cfg = AugmentConfig(out_dims=96, out_spacing=1.65)
+cfg = ExperimentConfig(out_dims=96, out_spacing=1.65).augment_config()
 sample = augment_sample(vol, list(planes.values()), cfg, SeededRng(42))
 print("\naugmentation: mirrored =", sample.mirrored, " intensity factor =", round(sample.intensity_factor, 4))
 

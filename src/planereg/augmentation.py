@@ -95,15 +95,15 @@ class SeededRng:
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    """Augmentation ranges and the output grid fed to the network."""
+    """Augmentation ranges and the output grid fed to the network (see ``ExperimentConfig.augment_config``)."""
 
-    rot_deg: float = 45.0
-    scale_range: tuple[float, float] = (0.95, 1.05)
-    trans_mm: float = 12.0
-    mirror_prob: float = 0.5
-    out_dims: int = 72
-    out_spacing: float = 2.2
-    intensity_range: tuple[float, float] = (0.95, 1.05)
+    rot_deg: float
+    scale_range: tuple[float, float]
+    trans_mm: float
+    mirror_prob: float
+    out_dims: int
+    out_spacing: float
+    intensity_range: tuple[float, float]
 
     def __post_init__(self):
         if self.rot_deg < 0 or self.trans_mm < 0:

@@ -13,8 +13,9 @@ artifacts; re-running the same command with ``--config run.lock`` reproduces
 the artifacts bit for bit.  The ``phantom-gen`` config keys are
 :func:`planereg.phantom.generate_dataset`'s keyword parameters, with its
 defaults; the experiment keys are the fields of
-:class:`planereg.harness.ExperimentConfig`.  Exit codes: 0 success, 1
-validation error (malformed config, missing file), 2 runtime failure.
+:class:`planereg.harness.ExperimentConfig`, which checks them all before any
+data is read or output written.  Exit codes: 0 success, 1 validation error
+(malformed config, missing file), 2 runtime failure.
 """
 
 from __future__ import annotations

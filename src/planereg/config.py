@@ -19,14 +19,14 @@ class ConfigError(ValueError):
     """A configuration file or override is malformed."""
 
 
-# keyed by the exact type of a default, so a bool default never reads as int
-_TYPE_NAMES = {bool: "bool", int: "int", float: "float", str: "str", tuple: "ints"}
+# keyed by the exact type of a default
+_TYPE_NAMES = {int: "int", float: "float", str: "str", tuple: "ints"}
 
 
 @dataclass(frozen=True)
 class Field:
     """One schema entry: default and help text; the value type (int, float,
-    bool, str, or ints for a tuple) is the exact type of the default."""
+    str, or ints for a tuple) is the exact type of the default."""
 
     default: object
     help: str
@@ -42,12 +42,6 @@ class Field:
                 return int(text)
             if self.type == "float":
                 return float(text)
-            if self.type == "bool":
-                if text.lower() in ("true", "1", "yes"):
-                    return True
-                if text.lower() in ("false", "0", "no"):
-                    return False
-                raise ValueError(text)
             if self.type == "ints":
                 return tuple(int(v) for v in text.split(",") if v.strip())
             return text
@@ -73,8 +67,6 @@ def field_values(config) -> dict:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):

@@ -211,12 +211,6 @@ def sqrt(a) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return _make(out, (a,), lambda g: (g * out,))
-
-
 def maximum(a, scalar: float) -> Tensor:
     a = as_tensor(a)
     return _make(np.maximum(a.data, scalar), (a,), lambda g: (g * (a.data > scalar),))

@@ -22,6 +22,7 @@ from .augmentation import AugmentConfig, SeededRng, augment_sample, center_input
 from .config import ConfigError, Field, field_values, schema
 from .geometry import DegenerateEncodingError, PlaneFrame, RotationKind, read_plane_file
 from .loss_metrics import (
+    ORTHOGONALITY_FORMS,
     LossWeights,
     PlaneErrors,
     ReportRow,
@@ -46,11 +47,11 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: data mode, model, loss weights, optimizer, and seed."""
+    """One experiment: data mode, model, loss weights, optimizer, and seed;
+    the only description of what a run trains, checked in full when built."""
 
     mode: str = "ankle"
     representation: RotationKind = RotationKind.SIXD
-    combined: bool = True
     out_dims: int = 72
     out_spacing: float = 2.2
     alpha: float = 0.5
@@ -81,11 +82,15 @@ class ExperimentConfig:
         object.__setattr__(self, "representation", RotationKind(self.representation))
         object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
         object.__setattr__(self, "fc_widths", tuple(int(w) for w in self.fc_widths))
-        if not self.combined and self.gamma > 0.0:
-            raise ConfigError("per-plane networks cannot use an orthogonality weight")
-        for key, lowest in (("epochs", 0), ("batch_size", 1), ("k", 2)):
+        for key, lowest in (("epochs", 0), ("batch_size", 1), ("k", 2), ("step_size", 1)):
             if getattr(self, key) < lowest:
                 raise ConfigError(f"{key} must be at least {lowest}, got {getattr(self, key)}")
+        if self.orthogonality_form not in ORTHOGONALITY_FORMS:
+            raise ConfigError(f"orthogonality_form must be one of {ORTHOGONALITY_FORMS}")
+        # the derived configs check their own values
+        self.weights()
+        self.augment_config()
+        self.network_config()
 
     def to_values(self) -> dict:
         return field_values(self)
@@ -113,11 +118,12 @@ class ExperimentConfig:
         )
 
     def network_config(self, n_planes: int | None = None) -> NetworkConfig:
+        """The network of ``n_planes`` planes (default: all of the mode's) that :func:`train` builds."""
         n = len(self.plane_names) if n_planes is None else n_planes
         return NetworkConfig(
             representation=self.representation,
             n_planes=n,
-            combined=self.combined if n_planes is None else n_planes > 1,
+            combined=n > 1,
             in_dims=self.out_dims,
             channels=self.channels,
             fc_widths=self.fc_widths,
@@ -127,7 +133,6 @@ class ExperimentConfig:
 _EXPERIMENT_HELP = {
     "mode": "body region: ankle or calcaneus",
     "representation": "rotation encoding: quaternion, euler_sincos, or sixd",
-    "combined": "one network for all planes (true) or one per plane (false)",
     "out_dims": "network input side length in voxels",
     "out_spacing": "network input voxel size in mm",
     "alpha": "loss weight of the rotation term",
@@ -154,6 +159,10 @@ _EXPERIMENT_HELP = {
 }
 
 EXPERIMENT_SCHEMA: dict[str, Field] = schema(ExperimentConfig().to_values(), _EXPERIMENT_HELP)
+
+
+def _with_weights(cfg: ExperimentConfig, w: LossWeights) -> ExperimentConfig:
+    return replace(cfg, alpha=w.alpha, beta=w.beta, gamma=w.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +264,10 @@ def train(
     cfg: ExperimentConfig,
     samples: list[Sample],
     plane: str | None = None,
-    weights: LossWeights | None = None,
     checkpoint_path=None,
 ) -> TrainResult:
-    """Train one network; ``plane`` selects a single-plane model.
+    """Train the network that ``cfg`` describes, with its loss weights;
+    ``plane`` selects a single-plane model, which needs ``cfg.gamma == 0``.
 
     Every epoch draws a fresh augmentation per sample (keyed by the master
     seed, the epoch, and the sample's dataset index, so results do not depend
@@ -270,7 +279,7 @@ def train(
         raise ValueError("no training samples")
     _check_modes(cfg, samples)
     names = (plane,) if plane is not None else cfg.plane_names
-    weights = weights if weights is not None else cfg.weights()
+    weights = cfg.weights()
     if len(names) == 1 and weights.gamma > 0.0:
         raise ConfigError("single-plane training requires gamma = 0")
 
@@ -347,11 +356,11 @@ def load_trained(path) -> tuple[PlaneRegressionNet, ExperimentConfig, str | None
     plane = extra.get("plane") or None
     try:
         cfg = ExperimentConfig(**values)
-        expected = cfg.network_config(n_planes=len(cfg.plane_names) if plane is None else 1)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: invalid experiment config ({exc})") from exc
     if plane is not None and plane not in cfg.plane_names:
         raise ValueError(f"{path}: plane {plane!r} is not one of the {cfg.mode} planes {cfg.plane_names}")
+    expected = cfg.network_config(n_planes=len(cfg.plane_names) if plane is None else 1)
     if net.config != expected:
         raise ValueError(f"{path}: network {net.config.to_dict()} differs from its config's {expected.to_dict()}")
     return net, cfg, plane
@@ -382,11 +391,13 @@ def evaluate(net: PlaneRegressionNet, samples: list[Sample], cfg: ExperimentConf
     Predictions are decoded back to plane frames and compared against the
     stored annotations.  Undecodable predictions (possible for untrained
     networks) count with worst-case placeholder errors rather than aborting.
+    Raises ``ValueError`` unless ``net`` is the network ``train`` builds from ``cfg`` for these planes.
     """
     _check_modes(cfg, samples)
     names = (plane,) if plane is not None else cfg.plane_names
-    if net.config.n_out != len(names) * (3 + cfg.representation.length):
-        raise ValueError("network output layout does not match the requested planes")
+    expected = cfg.network_config(len(names))
+    if net.config != expected:
+        raise ValueError(f"network {net.config.to_dict()} differs from the config's {expected.to_dict()} for {names}")
     errors: dict[str, list[PlaneErrors]] = {n: [] for n in names}
     prep_times, times = [], []
     for s in samples:
@@ -396,9 +407,7 @@ def evaluate(net: PlaneRegressionNet, samples: list[Sample], cfg: ExperimentConf
         pred = net.predict(x)
         times.append(time.perf_counter() - t1)
         prep_times.append(t1 - t0)
-        for i, name in enumerate(names):
-            per = 3 + cfg.representation.length
-            vec = pred[i * per : (i + 1) * per]
+        for name, vec in zip(names, np.split(pred, len(names))):
             try:
                 frame = decode_plane_vector(vec, cfg.representation, cfg.extent_mm)[0]
                 errors[name].append(plane_errors(frame, s.planes[name]))
@@ -419,42 +428,36 @@ def train_eval_fold(
 ) -> tuple[EvalResult, list[TrainResult]]:
     """Train on all folds but ``fold`` and evaluate on ``fold``.
 
-    ``scheme`` selects the loss-weight/network arrangement: ``config`` uses
-    the experiment config as is, ``combined`` the equal-weight preset,
-    ``optimized_combined`` the tuned preset, and ``three`` one independently
-    trained network per plane with its per-plane preset weights.
+    ``scheme`` selects the networks and their loss weights: ``config`` one
+    network for all planes with ``cfg``'s weights, ``combined`` and
+    ``optimized_combined`` one with that :data:`WEIGHT_PRESETS` entry, and
+    ``three`` one network per plane with its ``three_<plane>`` preset.  The
+    result merges their planes and sums their per-volume times.
     """
-    entries = [s.entry for s in samples]
-    train_idx, test_idx = assignment.train_test(entries, fold)
-    train_samples = [samples[i] for i in train_idx]
-    test_samples = [samples[i] for i in test_idx]
     presets = WEIGHT_PRESETS[cfg.mode]
-
-    results: list[TrainResult] = []
     if scheme == "three":
-        merged: dict[str, list[PlaneErrors]] = {}
-        times, prep_times = [], []
-        for plane in cfg.plane_names:
-            preset_key = "three_coronal" if plane in ("coronal", "semicoronal") else f"three_{plane}"
-            sub_cfg = replace(cfg, combined=False, gamma=0.0)
-            tr = train(sub_cfg, train_samples, plane=plane, weights=presets[preset_key])
-            results.append(tr)
-            ev = evaluate(tr.net, test_samples, sub_cfg, plane=plane)
-            merged.update(ev.errors_by_plane)
-            times.append(ev.mean_inference_s)
-            prep_times.append(ev.mean_preprocess_s)
-        return EvalResult(merged, float(np.sum(times)), float(np.sum(prep_times))), results
-
-    if scheme == "config":
-        weights = cfg.weights()
+        runs = [(plane, _with_weights(cfg, presets[f"three_{plane}"])) for plane in cfg.plane_names]
+    elif scheme == "config":
+        runs = [(None, cfg)]
     elif scheme in ("combined", "optimized_combined"):
-        weights = presets[scheme]
+        runs = [(None, _with_weights(cfg, presets[scheme]))]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    w_cfg = replace(cfg, combined=True, alpha=weights.alpha, beta=weights.beta, gamma=weights.gamma)
-    tr = train(w_cfg, train_samples)
-    results.append(tr)
-    return evaluate(tr.net, test_samples, w_cfg), results
+    train_idx, test_idx = assignment.train_test([s.entry for s in samples], fold)
+    train_samples = [samples[i] for i in train_idx]
+    test_samples = [samples[i] for i in test_idx]
+
+    errors: dict[str, list[PlaneErrors]] = {}
+    times, prep_times = [], []
+    results: list[TrainResult] = []
+    for plane, run_cfg in runs:
+        tr = train(run_cfg, train_samples, plane=plane)
+        ev = evaluate(tr.net, test_samples, run_cfg, plane=plane)
+        results.append(tr)
+        errors.update(ev.errors_by_plane)
+        times.append(ev.mean_inference_s)
+        prep_times.append(ev.mean_preprocess_s)
+    return EvalResult(errors, float(np.sum(times)), float(np.sum(prep_times))), results
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +588,7 @@ def ablation_driver(
             cell_cfg = replace(cfg, out_dims=dims, out_spacing=spacing)
             label, scheme = f"{dims}^3@{spacing}mm", "config"
         elif which == "weights":
-            cell_cfg = replace(cfg, combined=True, alpha=cell.alpha, beta=cell.beta, gamma=cell.gamma)
+            cell_cfg = _with_weights(cfg, cell)
             label, scheme = f"a{cell.alpha:g}_b{cell.beta:g}_g{cell.gamma:g}", "config"
         else:
             cell_cfg = cfg

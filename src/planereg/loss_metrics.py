@@ -45,6 +45,9 @@ def reset_degenerate_normal_counter() -> None:
     _degenerate_normals = 0
 
 
+ORTHOGONALITY_FORMS = ("cross", "dot")
+
+
 @dataclass(frozen=True)
 class LossWeights:
     """Convex combination weights (rotation, translation, orthogonality)."""
@@ -65,7 +68,7 @@ class LossWeights:
 WEIGHT_PRESETS: dict[str, dict[str, LossWeights]] = {
     "calcaneus": {
         "three_axial": LossWeights(0.2, 0.8, 0.0),
-        "three_coronal": LossWeights(0.2, 0.8, 0.0),
+        "three_semicoronal": LossWeights(0.2, 0.8, 0.0),
         "three_sagittal": LossWeights(0.6, 0.4, 0.0),
         "combined": LossWeights(0.5, 0.5, 0.0),
         "optimized_combined": LossWeights(0.6, 0.3, 0.1),
@@ -171,8 +174,8 @@ def loss_graph(
     """
     global _degenerate_normals
     kind = RotationKind(kind)
-    if orthogonality_form not in ("cross", "dot"):
-        raise ValueError("orthogonality_form must be 'cross' or 'dot'")
+    if orthogonality_form not in ORTHOGONALITY_FORMS:
+        raise ValueError(f"orthogonality_form must be one of {ORTHOGONALITY_FORMS}")
     per = 3 + kind.length
     target = np.asarray(target, dtype=pred.dtype)
     if pred.shape[-1] != per * n_planes or target.shape != pred.shape:

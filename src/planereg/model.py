@@ -55,14 +55,14 @@ def output_layout(kind: RotationKind, n_planes: int, combined: bool) -> int:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Architecture hyperparameters of the plane regression CNN."""
+    """Architecture hyperparameters of the plane regression CNN (see ``ExperimentConfig.network_config``)."""
 
-    representation: RotationKind = RotationKind.SIXD
-    n_planes: int = 3
-    combined: bool = True
-    in_dims: int = 72
-    channels: tuple[int, ...] = (8, 16, 32, 64, 128)
-    fc_widths: tuple[int, ...] = (1024, 256)
+    representation: RotationKind
+    n_planes: int
+    combined: bool
+    in_dims: int
+    channels: tuple[int, ...]
+    fc_widths: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "representation", RotationKind(self.representation))

@@ -20,6 +20,7 @@ from planereg.geometry import (
     rotation_transform,
     transform_plane,
 )
+from planereg.harness import ExperimentConfig
 from planereg.phantom import PhantomSpec, generate_phantom
 from planereg.volume import interpolation_call_count, reset_interpolation_counter
 
@@ -47,6 +48,11 @@ def degenerate_config(**kw):
     return AugmentConfig(**defaults)
 
 
+def protocol_config(**kw):
+    """The experiment's augmentation ranges on a 32^3, 5 mm grid."""
+    return ExperimentConfig(out_dims=32, out_spacing=5.0, **kw).augment_config()
+
+
 class TestSeededRng:
     def test_streams_reproducible(self):
         a = SeededRng(42)
@@ -72,7 +78,7 @@ class TestSeededRng:
 
 class TestAugmentConfig:
     def test_defaults_match_protocol(self):
-        cfg = AugmentConfig()
+        cfg = ExperimentConfig().augment_config()
         assert cfg.rot_deg == 45.0
         assert cfg.scale_range == (0.95, 1.05)
         assert cfg.trans_mm == 12.0
@@ -80,17 +86,17 @@ class TestAugmentConfig:
         assert cfg.intensity_range == (0.95, 1.05)
 
     def test_resolution_extent(self):
-        assert AugmentConfig(out_dims=64, out_spacing=2.5).extent_mm == pytest.approx(160.0)
+        assert degenerate_config(out_dims=64, out_spacing=2.5).extent_mm == pytest.approx(160.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AugmentConfig(scale_range=(0.8, 1.0))
+            degenerate_config(scale_range=(0.8, 1.0))
         with pytest.raises(ValueError):
-            AugmentConfig(intensity_range=(0.9, 1.0))
+            degenerate_config(intensity_range=(0.9, 1.0))
         with pytest.raises(ValueError):
-            AugmentConfig(mirror_prob=1.5)
+            degenerate_config(mirror_prob=1.5)
         with pytest.raises(ValueError):
-            AugmentConfig(rot_deg=-1.0)
+            degenerate_config(rot_deg=-1.0)
 
 
 class TestSampleAugmentation:
@@ -101,18 +107,18 @@ class TestSampleAugmentation:
         assert factor == 1.0
 
     def test_seed_determinism(self):
-        cfg = AugmentConfig(out_dims=32, out_spacing=5.0)
+        cfg = protocol_config()
         a = sample_augmentation(cfg, SeededRng(42))
         b = sample_augmentation(cfg, SeededRng(42))
         assert np.array_equal(a[0], b[0]) and a[1] == b[1] and a[2] == b[2]
 
     def test_mirror_frequency(self):
-        cfg = AugmentConfig(out_dims=32, out_spacing=5.0)
+        cfg = protocol_config()
         hits = sum(sample_augmentation(cfg, SeededRng(7).derive(i))[1] for i in range(10_000))
         assert 0.47 <= hits / 10_000 <= 0.53
 
     def test_parameters_within_ranges(self):
-        cfg = AugmentConfig(out_dims=32, out_spacing=5.0)
+        cfg = protocol_config()
         for i in range(100):
             T, mirrored, factor = sample_augmentation(cfg, SeededRng(3).derive(i))
             assert 0.95 <= factor <= 1.05
@@ -158,14 +164,14 @@ class TestAugmentSample:
 
     def test_single_interpolation_pass(self, phantom):
         vol, planes = phantom
-        cfg = AugmentConfig(out_dims=32, out_spacing=5.0)
+        cfg = protocol_config()
         reset_interpolation_counter()
         augment_sample(vol, planes, cfg, SeededRng(1), kind=RotationKind.SIXD)
         assert interpolation_call_count() == 1
 
     def test_label_consistency_through_inverse(self, phantom):
         vol, planes = phantom
-        cfg = AugmentConfig(out_dims=32, out_spacing=5.0, mirror_prob=0.0)
+        cfg = protocol_config(mirror_prob=0.0)
         for i in range(100):
             s = augment_sample(vol, planes, cfg, SeededRng(5).derive(i), kind=RotationKind.SIXD)
             Tinv = np.linalg.inv(s.transform)

@@ -1,8 +1,12 @@
 import os
+import string
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planereg.cli import PHANTOM_SCHEMA, build_parser, main
 from planereg.config import (
@@ -15,7 +19,9 @@ from planereg.config import (
 )
 from planereg.geometry import RotationKind, read_plane_file
 from planereg.harness import EXPERIMENT_SCHEMA, ExperimentConfig
+from planereg.loss_metrics import ORTHOGONALITY_FORMS
 from planereg.model import PlaneRegressionNet, save_checkpoint
+from planereg.phantom import PLANE_NAMES
 
 
 def run_cli(*args) -> int:
@@ -51,14 +57,88 @@ def trained_dir(dataset_dir, tmp_path_factory):
     return out
 
 
+def lock_round_trip(schema, values) -> dict:
+    """``values`` written as a run.lock file and resolved against ``schema`` again."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.lock")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(format_config(values))
+        return resolve(schema, read_config_file(path))
+
+
+VALUES_OF_TYPE = {
+    "int": st.integers(-(2**63), 2**64),
+    "float": st.floats(allow_nan=False),
+    "str": st.text(string.ascii_letters + string.digits + "_.-", min_size=1, max_size=12),
+    "ints": st.lists(st.integers(-1000, 2**40), max_size=5).map(tuple),
+}
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+def ordered_pair(lo, hi):
+    return st.tuples(finite(lo, hi), finite(lo, hi)).map(sorted)
+
+
+@st.composite
+def experiment_configs(draw):
+    """Any valid experiment config."""
+    alpha = draw(finite(0.0, 1.0))
+    beta = draw(finite(0.0, 1.0 - alpha))
+    scale_lo, scale_hi = draw(ordered_pair(0.9, 1.1))
+    intensity_lo, intensity_hi = draw(ordered_pair(0.95, 1.05))
+    channels = draw(st.lists(st.integers(1, 256), min_size=1, max_size=5))
+    return ExperimentConfig(
+        mode=draw(st.sampled_from(sorted(PLANE_NAMES))),
+        representation=draw(st.sampled_from(list(RotationKind))),
+        out_dims=draw(st.integers(max(2, 2 ** len(channels)), 512)),
+        out_spacing=draw(finite(1e-3, 1e3)),
+        alpha=alpha,
+        beta=beta,
+        gamma=1.0 - alpha - beta,
+        orthogonality_form=draw(st.sampled_from(ORTHOGONALITY_FORMS)),
+        epochs=draw(st.integers(0, 10**6)),
+        lr=draw(finite(0.0, 1e3)),
+        decay=draw(finite(0.0, 1.0)),
+        step_size=draw(st.integers(1, 10**6)),
+        momentum=draw(finite(0.0, 1.0)),
+        batch_size=draw(st.integers(1, 1024)),
+        k=draw(st.integers(2, 100)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        rot_deg=draw(finite(0.0, 180.0)),
+        scale_lo=scale_lo,
+        scale_hi=scale_hi,
+        trans_mm=draw(finite(0.0, 1e3)),
+        mirror_prob=draw(finite(0.0, 1.0)),
+        intensity_lo=intensity_lo,
+        intensity_hi=intensity_hi,
+        channels=channels,
+        fc_widths=draw(st.lists(st.integers(1, 4096), max_size=3)),
+    )
+
+
 class TestConfigFormat:
     def test_round_trip(self, tmp_path):
-        schema = {"a": Field(1, "an int"), "b": Field(0.5, "a float"), "c": Field(True, "flag")}
-        values = resolve(schema, None, {"a": "7", "c": "false"})
+        schema = {"a": Field(1, "an int"), "b": Field(0.5, "a float"), "c": Field("x", "a str")}
+        values = resolve(schema, None, {"a": "7", "c": "y"})
         path = tmp_path / "c.cfg"
         path.write_text(format_config(values))
         again = resolve(schema, read_config_file(path), None)
-        assert again == {"a": 7, "b": 0.5, "c": False}
+        assert again == {"a": 7, "b": 0.5, "c": "y"}
+
+    @pytest.mark.parametrize("schema", [EXPERIMENT_SCHEMA, PHANTOM_SCHEMA], ids=["experiment", "phantom"])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_every_value_survives_a_lock_file(self, schema, data):
+        values = {key: data.draw(VALUES_OF_TYPE[f.type], label=key) for key, f in schema.items()}
+        assert lock_round_trip(schema, values) == values
+
+    @settings(max_examples=50, deadline=None)
+    @given(cfg=experiment_configs())
+    def test_experiment_config_survives_its_lock_file(self, cfg):
+        assert ExperimentConfig(**lock_round_trip(EXPERIMENT_SCHEMA, cfg.to_values())) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -315,6 +395,7 @@ class TestHelpAndErrors:
         [
             ("train", "batch_size=0", "batch_size"),
             ("train", "epochs=-1", "epochs"),
+            ("train", "step_size=0", "step_size"),
             ("xval", "k=1", "k"),
         ],
     )
@@ -326,6 +407,27 @@ class TestHelpAndErrors:
         )
         assert code == 1
         assert f"{key} must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,override",
+        [
+            ("train", "orthogonality_form=foo"),
+            ("train", "alpha=0.9"),
+            ("xval", "out_spacing=0"),
+            ("xval", "scale_hi=1.5"),
+            ("ablate", "channels=2,4,8,16,32"),
+        ],
+    )
+    def test_experiment_values_checked_before_any_output(self, dataset_dir, tmp_path, capsys, command, override):
+        out = tmp_path / "o"
+        axis = ["--axis", "representation"] if command == "ablate" else []
+        code = run_cli(
+            command, *axis, "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(out),
+            *TRAIN_OVERRIDES, "--set", override,
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_non_integer_fold_names_option(self, dataset_dir, tmp_path, capsys):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from planereg import _kernels, augmentation, harness, volume
-from planereg.augmentation import AugmentConfig
 from planereg.config import ConfigError, format_config, read_config_file, resolve
 from planereg.geometry import RotationKind
 from planereg.harness import (
@@ -29,9 +28,9 @@ from planereg.harness import (
     train,
     train_eval_fold,
 )
-from planereg.loss_metrics import LossWeights
-from planereg.model import NetworkConfig, PlaneRegressionNet, save_checkpoint
-from planereg.phantom import ManifestEntry, generate_dataset
+from planereg.loss_metrics import WEIGHT_PRESETS, LossWeights
+from planereg.model import PlaneRegressionNet, save_checkpoint
+from planereg.phantom import PLANE_NAMES, ManifestEntry, generate_dataset
 
 
 def tiny_config(**kw):
@@ -91,7 +90,6 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(
             mode="calcaneus",
             representation=RotationKind.QUATERNION,
-            combined=False,
             out_dims=33,
             out_spacing=0.1 + 0.2,
             orthogonality_form="dot",
@@ -102,7 +100,7 @@ class TestExperimentConfig:
         )
         default = ExperimentConfig().to_values()
         changed = {key for key, val in cfg.to_values().items() if val != default[key]}
-        assert {EXPERIMENT_SCHEMA[key].type for key in changed} == {"bool", "int", "float", "str", "ints"}
+        assert {EXPERIMENT_SCHEMA[key].type for key in changed} == {"int", "float", "str", "ints"}
         path = tmp_path / "run.lock"
         path.write_text(format_config(cfg.to_values()))
         assert ExperimentConfig(**resolve(EXPERIMENT_SCHEMA, read_config_file(path))) == cfg
@@ -110,12 +108,6 @@ class TestExperimentConfig:
     def test_values_round_trip(self):
         cfg = tiny_config(representation=RotationKind.QUATERNION, gamma=0.0)
         assert ExperimentConfig(**cfg.to_values()) == cfg
-
-    def test_default_augment_config_matches(self):
-        assert ExperimentConfig().augment_config() == AugmentConfig()
-
-    def test_default_network_config_matches(self):
-        assert ExperimentConfig().network_config() == NetworkConfig()
 
     def test_channels_become_int_tuples(self):
         cfg = tiny_config(channels=[2, 4], fc_widths=[16])
@@ -126,9 +118,23 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             tiny_config(mode="knee")
 
-    def test_separate_networks_forbid_orthogonality(self):
-        with pytest.raises(ConfigError):
-            tiny_config(combined=False, alpha=0.4, beta=0.4, gamma=0.2)
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"orthogonality_form": "foo"},
+            {"step_size": 0},
+            {"alpha": 0.7},
+            {"gamma": -0.5, "alpha": 1.0},
+            {"out_spacing": 0.0},
+            {"scale_lo": 0.5},
+            {"mirror_prob": 2.0},
+            {"channels": (2, 4, 8, 16, 32)},
+            {"channels": ()},
+        ],
+    )
+    def test_invalid_values_rejected_when_built(self, bad):
+        with pytest.raises(ValueError):
+            tiny_config(**bad)
 
 
 class TestSplit:
@@ -210,7 +216,7 @@ class TestTrain:
     def test_single_plane_gamma_guard(self, tiny_samples):
         cfg = tiny_config()
         with pytest.raises(ConfigError):
-            train(cfg, tiny_samples, plane="axial", weights=LossWeights(0.4, 0.4, 0.2))
+            train(replace(cfg, alpha=0.4, beta=0.4, gamma=0.2), tiny_samples, plane="axial")
 
     def test_out_of_cube_warned_once_per_run(self, tiny_samples, caplog):
         with caplog.at_level(logging.WARNING):
@@ -248,14 +254,7 @@ class _GroundTruthStub:
     def __init__(self, cfg, samples):
         from planereg.augmentation import encode_plane_targets
 
-        self.config = NetworkConfig(
-            representation=cfg.representation,
-            n_planes=len(cfg.plane_names),
-            combined=True,
-            in_dims=cfg.out_dims,
-            channels=cfg.channels,
-            fc_widths=cfg.fc_widths,
-        )
+        self.config = cfg.network_config()
         self._answers = [
             encode_plane_targets([s.planes[n] for n in cfg.plane_names], cfg.representation, cfg.extent_mm)
             for s in samples
@@ -349,6 +348,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(result.net, tiny_samples, cfg, plane="axial")
 
+    def test_encoding_mismatch_rejected(self, tiny_samples):
+        # 6D and Euler sin/cos pairs both take 9 values per plane, so only the config tells them apart
+        result = train(tiny_config(epochs=0), tiny_samples)
+        with pytest.raises(ValueError, match="differs from the config"):
+            evaluate(result.net, tiny_samples, tiny_config(representation=RotationKind.EULER_SINCOS))
+
 
 class TestFoldsAndAblations:
     def test_three_scheme_trains_three_models(self, tiny_samples):
@@ -364,6 +369,40 @@ class TestFoldsAndAblations:
         fa = split_kfold_grouped([s.entry for s in tiny_samples], cfg.k, cfg.seed)
         _, results = train_eval_fold(cfg, tiny_samples, fa, 0, scheme="combined")
         assert len(results) == 1
+
+    @pytest.mark.parametrize("mode", sorted(PLANE_NAMES))
+    def test_each_scheme_trains_and_evaluates_its_weights(self, monkeypatch, mode):
+        cfg = tiny_config(mode=mode, alpha=0.3, beta=0.7)
+        samples = [harness.Sample(e, None, {}) for e in synthetic_manifest(2, 2)]
+        fa = split_kfold_grouped([s.entry for s in samples], cfg.k, cfg.seed)
+        trained, evaluated = [], []
+
+        def fake_train(run_cfg, train_samples, plane=None):
+            trained.append((plane, run_cfg))
+            return harness.TrainResult(net=None, loss_curve=[], out_of_cube=0)
+
+        def fake_evaluate(net, test_samples, run_cfg, plane=None):
+            evaluated.append((plane, run_cfg))
+            return harness.EvalResult({n: [] for n in ((plane,) if plane else run_cfg.plane_names)}, 1.0, 2.0)
+
+        monkeypatch.setattr(harness, "train", fake_train)
+        monkeypatch.setattr(harness, "evaluate", fake_evaluate)
+        presets = WEIGHT_PRESETS[mode]
+        expected = {
+            "config": [(None, LossWeights(0.3, 0.7, 0.0))],
+            "combined": [(None, presets["combined"])],
+            "optimized_combined": [(None, presets["optimized_combined"])],
+            "three": [(plane, presets[f"three_{plane}"]) for plane in PLANE_NAMES[mode]],
+        }
+        for scheme, runs in expected.items():
+            trained.clear()
+            evaluated.clear()
+            ev, results = train_eval_fold(cfg, samples, fa, 0, scheme=scheme)
+            assert [(plane, c.weights()) for plane, c in trained] == runs
+            assert evaluated == trained
+            assert len(results) == len(runs)
+            assert set(ev.errors_by_plane) == set(PLANE_NAMES[mode])
+            assert (ev.mean_inference_s, ev.mean_preprocess_s) == (len(runs), 2.0 * len(runs))
 
     def test_cross_validate_writes_reports(self, tiny_dataset, tmp_path):
         cfg = tiny_config()
@@ -480,7 +519,7 @@ class TestLoadTrained:
         assert net.config == cfg.network_config()
 
     def _save(self, path, cfg_values, plane=""):
-        net = PlaneRegressionNet(tiny_config(combined=False, gamma=0.0).network_config(n_planes=1), rng=np.random.default_rng(0))
+        net = PlaneRegressionNet(tiny_config().network_config(n_planes=1), rng=np.random.default_rng(0))
         save_checkpoint(path, net, extra={"experiment": cfg_values, "plane": plane})
 
     def test_single_plane_checkpoint(self, tmp_path):

@@ -3,6 +3,7 @@ import os
 import re
 import struct
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from planereg import engine
 from planereg.engine import Tensor
 from planereg.geometry import RotationKind
+from planereg.harness import ExperimentConfig
 from planereg.loss_metrics import LossWeights, loss_graph
 from planereg.model import (
     NetworkConfig,
@@ -77,12 +79,13 @@ def _tiny_net(kind=RotationKind.SIXD, dtype=np.float32, seed=0):
 
 class TestNetworkConfig:
     def test_default_matches_72_grid(self):
-        cfg = NetworkConfig(in_dims=72)
+        cfg = ExperimentConfig().network_config()
+        assert cfg.in_dims == 72
         assert cfg.flatten_dim == 2**3 * 128
 
     def test_too_small_input_rejected(self):
         with pytest.raises(ValueError):
-            NetworkConfig(in_dims=16)  # five poolings need >= 32
+            replace(ExperimentConfig().network_config(), in_dims=16)  # five poolings need >= 32
 
 
 class TestForward:
