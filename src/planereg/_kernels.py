@@ -6,14 +6,21 @@ a worker per CPU this process may use (``os.sched_getaffinity``).  Workers
 take tasks from a queue, so a core that stalls delays only the sample it
 holds; a static split would make every call wait for it.  A call runs its
 tasks inline, on the calling thread, when it has one task (B=1 inference)
-or when a task's largest per-sample array has fewer than ``_MIN_TASK``
-elements.  Such tasks gain nothing from a second core: with every call
-pooled, the benchmark's 32^3 cross-validation at B=4 was no faster (1064
-and 953 ms, against 962 and 984 ms) and peaked at 59.3 and 60.6 MB,
-against 55.4 and 55.3 MB (seed 4, 2 vCPUs).  Each task
-runs in a copy of the caller's context, so the caller's ``np.errstate``
-holds in the workers too.  A forked child builds a pool of its own on first
-use, since it inherits the parent's executor but none of its threads.
+or when its tasks are small.  A conv task is small below ``_MIN_MACS``
+(2^23) multiply-adds, ``O*C*27*D*H*W``; a pooling task, or a batch row
+that ``harness.train`` fills, below ``_MIN_TASK`` elements in its largest
+array.  Counting multiply-adds, every conv block of the benchmark's 72^3
+network (channels 8-128) pools at B=8: its smallest task, the last block's
+(64 to 128 channels at 4^3), is 14.2 M.  By the element rule alone, its
+last three blocks would run inline.  Every block of the 32^3 cross-validation
+network (channels 4/8/16) stays inline at B=4: its largest task is 3.5 M.
+Such tasks gain nothing from a second core: with every call pooled, that
+cross-validation was no faster (1064 and 953 ms, against 962 and 984 ms)
+and peaked at 59.3 and 60.6 MB, against 55.4 and 55.3 MB (seed 4, 2
+vCPUs).  Each task runs in a copy of the caller's context, so the caller's
+``np.errstate`` holds in the workers too.  A forked child builds a pool of
+its own on first use, since it inherits the parent's executor but none of
+its threads.
 
 Before it starts its workers, the pool sets glibc's ``M_ARENA_MAX`` to 1,
 so threads started from then on allocate from the main malloc arena.  With
@@ -22,26 +29,43 @@ calling thread cannot reuse it: the benchmark's 72^3 B=8 training peaked at
 444.5 MB, against 424.5 MB on one thread with one 8 MB column buffer.  With
 one arena and 4 MB column buffers it peaks at 427.3 MB (seed 5).
 
-The convolution is lowered to matrix products (im2col) one slab of output
-depths at a time.  For the ``n`` depths of a slab, the 27 shifted slices of
-the sample's zero-padded input are copied into a ``(C*27, n*H*W)`` column
-matrix, and ``w.reshape(O, C*27)`` times that matrix is the slab of the
-output.  A slab holds ``dz = _SLAB // (C*27*H*W)`` depths (at least one, at
-most ``D``), so the buffer holds at most about 4 MB in float32 unless one
-depth alone needs more, and a slab is multiplied while its columns are still
-warm in cache.  Each task allocates its own padded input and one column
-buffer of that fixed size, which serves every slab of its sample, so two
-workers hold as much column memory as one 8 MB buffer; no call maps a whole
-sample's or batch's columns.
+The forward convolution is lowered to matrix products (im2col) one slab of
+output depths at a time.  For the ``n`` depths of a slab, the 27 shifted
+slices of the sample's zero-padded input are copied into a ``(C*27,
+n*H*W)`` column matrix, and ``w.reshape(O, C*27)`` times that matrix is the
+slab of the output.  A slab holds ``dz = _SLAB // (C*27*H*W)`` depths (at
+least one, at most ``D``), so the buffer holds at most about 4 MB in float32
+unless one depth alone needs more, and a slab is multiplied while its
+columns are still warm in cache.  Each task allocates its own padded input
+and one column buffer of that fixed size, which serves every slab of its
+sample, so two workers hold as much column memory as one 8 MB buffer; no
+call maps a whole sample's or batch's columns.
 
-A task's weight gradient sums ``cols @ gout_slab.T`` over its slabs in
-order, and the call sums the tasks' partial gradients in sample order.  The
-input gradient is the adjoint of the lowering (col2im): for each slab,
-``w.T @ gout_slab`` is written into the same column buffer, and its 27 taps
-are scatter-added into the task's zeroed, padded gradient, whose interior
-is the sample's input gradient.
+The backward pass lowers onto the padded-plane grid instead.  Each sample
+is zero-padded to ``(C, D+3, H+2, W+2)`` and flattened per channel, so tap
+``(i, j, k)`` is the flat offset ``i*P + j*(W+2) + k``, with ``P =
+(H+2)*(W+2)``, and a slab has one column per point of its ``n`` padded
+planes.  Output ``(z, y, x)`` is column ``(z - z0)*P + y*(W+2) + x``; the
+columns with ``y >= H`` or ``x >= W`` are the border, which belongs to no
+output.  The one spare zero plane is what the last slab's taps reach: its
+last column plus the largest offset is ``(D+2)*P + 2*W + 5``, which is
+below ``(D+3)*P``.  So each tap's im2col copy, and its col2im add, is one
+contiguous run per channel, where the forward lowering copies rows of ``W``
+elements.  A slab holds ``_SLAB // (C*27*P)`` depths.  Per slab, the
+slab's ``gout`` goes into a zero-bordered ``(O, n, H+2, W+2)`` buffer,
+``gext``, and three steps share the column buffer: ``gw += cols @
+gext.T``; ``cols = w2.T @ gext``; and 27 contiguous adds of ``cols`` into
+the task's flat padded gradient, whose interior is the sample's input
+gradient.  The border columns of ``gext`` are zero, so, for finite
+operands, they add nothing to either gradient.  The grid costs ``P/(H*W)``
+times the columns: 1.11x at 36^2, 2.25x at 4^2.  Even so, traced at 72^3
+and B=8 (seed 1, 2 vCPUs), the second block's backward took 131 ms,
+against 176 ms on the forward's grid.  The call sums the tasks' weight
+gradients in sample order.  The forward pass keeps its own lowering:
+on the padded-plane grid, the first two blocks of the benchmark's 72^3 B=8
+training took 70.6 and 59.6 ms, against 66.6 and 59.9 ms (2 vCPUs).
 
-The slab depth depends on ``C``, ``D``, ``H`` and ``W`` only, never on the
+The slab depths depend on ``C``, ``D``, ``H`` and ``W`` only, never on the
 batch size, and each sample's output and input gradient depend only on that
 sample.  So a sample's rows are summed in the same order, and come out
 bitwise identical, whatever the batch, and every result is bitwise the same
@@ -77,7 +101,8 @@ import numpy as np
 _OFFSETS = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
 _TAPS = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
 _SLAB = 1 << 20  # elements in a task's column buffer: 4 MB in float32
-_MIN_TASK = 1 << 18  # elements of a task's largest map below which a call runs inline: 1 MB in float32
+_MIN_TASK = 1 << 18  # elements of a pool or batch-fill task's largest array below which a call runs inline: 1 MB in float32
+_MIN_MACS = 1 << 23  # multiply-adds of a conv task below which a conv call runs inline
 
 _M_ARENA_MAX = -8  # glibc's mallopt parameter number
 
@@ -132,15 +157,17 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-def _map_tasks(fn, n: int, size: int) -> list:
-    """``[fn(0), ..., fn(n - 1)]``, on the pool unless ``n == 1`` or ``size < _MIN_TASK``.
+def _map_tasks(fn, n: int, size: int, min_size: int | None = None) -> list:
+    """``[fn(0), ..., fn(n - 1)]``, on the pool unless ``n == 1`` or ``size < min_size``.
 
-    ``size`` is the element count of one task's largest array.  Each pooled
-    task runs in a copy of the caller's context, so it sees the caller's
-    ``np.errstate``.  If tasks raise, the exception of the first of them in
-    index order is raised here.
+    ``size`` measures one task's work: a conv passes its multiply-adds and
+    ``min_size = _MIN_MACS``; other callers pass the element count of its
+    largest array and leave ``min_size`` to default to ``_MIN_TASK``.  Each
+    pooled task runs in a copy of the caller's context, so it sees the
+    caller's ``np.errstate``.  If tasks raise, the exception of the first of
+    them in index order is raised here.
     """
-    if n == 1 or size < _MIN_TASK:
+    if n == 1 or size < (_MIN_TASK if min_size is None else min_size):
         return [fn(i) for i in range(n)]
     pool = _executor()
     futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(n)]
@@ -169,6 +196,41 @@ def _column_slabs(xs, dtype):
         yield z0, n, cols.reshape(C * 27, n * H * W)
 
 
+def _plane_offsets(H, W):
+    """The flat offset of each tap in a padded plane grid of ``(H + 2) * (W + 2)`` points per depth."""
+    return [(i * (H + 2) + j) * (W + 2) + k for i, j, k in _TAPS]
+
+
+def _plane_slabs(xs, dtype):
+    """Yield ``(z0, n, cols)`` for each slab of output depths of ``xs``, on the padded-plane grid.
+
+    ``xs`` is one ``(C, D, H, W)`` sample.  It is zero-padded to ``(C, D+3,
+    H+2, W+2)`` and flattened per channel.  ``cols`` is the ``(C*27, n*P)``
+    column matrix, ``P = (H+2)*(W+2)``, of the ``n`` depths from ``z0`` on,
+    with one column per point of their padded planes: output ``(z, y, x)`` is
+    column ``(z - z0)*P + y*(W+2) + x``.  Row ``c*27 + t`` is one contiguous
+    run of channel ``c``, from tap ``t``'s flat offset on.  The columns of
+    the border (``y >= H`` or ``x >= W``) belong to no output.  Every matrix
+    is a view of one buffer that serves every slab of the sample, so it is
+    valid, and may be overwritten, only until the next one is drawn.
+    """
+    C, D, H, W = xs.shape
+    P = (H + 2) * (W + 2)
+    dz = max(1, min(D, _SLAB // (C * 27 * P)))
+    xpad = np.zeros((C, D + 3, H + 2, W + 2), dtype=dtype)
+    xpad[:, 1 : D + 1, 1:-1, 1:-1] = xs
+    flat = xpad.reshape(C, (D + 3) * P)
+    buf = np.empty(C * 27 * dz * P, dtype=dtype)
+    offsets = _plane_offsets(H, W)
+    for z0 in range(0, D, dz):
+        n = min(dz, D - z0)
+        cols = buf[: C * 27 * n * P].reshape(C, 27, n * P)
+        for t, off in enumerate(offsets):
+            start = z0 * P + off
+            cols[:, t] = flat[:, start : start + n * P]
+        yield z0, n, cols.reshape(C * 27, n * P)
+
+
 def conv3d_forward(x, w, bias):
     """3x3x3 convolution, stride 1, zero padding 1.
 
@@ -187,7 +249,7 @@ def conv3d_forward(x, w, bias):
             np.matmul(w2, cols, out=rows[s, :, z0 * H * W : (z0 + n) * H * W])
         rows[s] += b
 
-    _map_tasks(sample, B, max(C, O) * D * H * W)
+    _map_tasks(sample, B, O * C * 27 * D * H * W, _MIN_MACS)
     return rows.reshape(B, O, D, H, W)
 
 
@@ -199,31 +261,37 @@ def conv3d_backward(x, w, gout, need_gx: bool = True):
     """
     B, C, D, H, W = x.shape
     O = w.shape[0]
+    P = (H + 2) * (W + 2)
     dtype = np.result_type(x, w, gout)
     w2t = w.reshape(O, C * 27).astype(dtype, copy=False).T
-    g2 = gout.reshape(B, O, D * H * W)
     gx = np.empty(x.shape, dtype=dtype) if need_gx else None
+    offsets = _plane_offsets(H, W)
 
     def sample(s):
         gwt = np.zeros((C * 27, O), dtype=dtype)
-        gpad = np.zeros((C, D + 2, H + 2, W + 2), dtype=dtype) if need_gx else None
-        for z0, n, cols in _column_slabs(x[s], dtype):
-            gslab = g2[s, :, z0 * H * W : (z0 + n) * H * W]
+        gflat = np.zeros((C, (D + 3) * P), dtype=dtype) if need_gx else None
+        gext = None
+        for z0, n, cols in _plane_slabs(x[s], dtype):
+            if gext is None:  # the first slab is the deepest; its border stays zero
+                gext = np.zeros((O, n, H + 2, W + 2), dtype=dtype)
+            gext[:, :n, :H, :W] = gout[s, :, z0 : z0 + n]
+            gslab = gext[:, :n].reshape(O, n * P)
             # np.dot, not matmul: on two threads, matmul's thin products with
             # an output as small as 27 x 8 ran no faster than on one
             gwt += np.dot(cols, gslab.T)
             if not need_gx:
                 continue
-            # col2im: the slab's column gradient, scattered back one tap at a time
+            # col2im: the slab's column gradient, added back one contiguous run per tap and channel
             np.matmul(w2t, gslab, out=cols)
-            taps = cols.reshape(C, 27, n, H, W)
-            for t, (i, j, k) in enumerate(_TAPS):
-                gpad[:, z0 + i : z0 + i + n, j : j + H, k : k + W] += taps[:, t]
+            taps = cols.reshape(C, 27, n * P)
+            for t, off in enumerate(offsets):
+                start = z0 * P + off
+                gflat[:, start : start + n * P] += taps[:, t]
         if need_gx:
-            gx[s] = gpad[:, 1:-1, 1:-1, 1:-1]
+            gx[s] = gflat.reshape(C, D + 3, H + 2, W + 2)[:, 1 : D + 1, 1:-1, 1:-1]
         return gwt
 
-    partials = _map_tasks(sample, B, max(C, O) * D * H * W)
+    partials = _map_tasks(sample, B, O * C * 27 * D * H * W, _MIN_MACS)
     gwt = partials[0]
     for p in partials[1:]:
         gwt += p

@@ -106,18 +106,22 @@ class AugmentConfig:
     intensity_range: tuple[float, float]
 
     def __post_init__(self):
-        if self.rot_deg < 0 or self.trans_mm < 0:
-            raise ValueError("rotation and translation ranges must be non-negative")
+        # each message names the experiment keys the value comes from
+        for key in ("rot_deg", "trans_mm"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
         lo, hi = self.scale_range
         if not (0.9 <= lo <= hi <= 1.1):
-            raise ValueError("scale_range must lie within [0.9, 1.1]")
+            raise ValueError(f"need 0.9 <= scale_lo <= scale_hi <= 1.1, got scale_lo={lo}, scale_hi={hi}")
         ilo, ihi = self.intensity_range
         if not (0.95 <= ilo <= ihi <= 1.05):
-            raise ValueError("intensity_range must lie within [0.95, 1.05]")
+            raise ValueError(f"need 0.95 <= intensity_lo <= intensity_hi <= 1.05, got intensity_lo={ilo}, intensity_hi={ihi}")
         if not 0.0 <= self.mirror_prob <= 1.0:
-            raise ValueError("mirror_prob must be a probability")
-        if self.out_dims < 2 or self.out_spacing <= 0:
-            raise ValueError("invalid output grid")
+            raise ValueError(f"mirror_prob must be a probability, got {self.mirror_prob}")
+        if self.out_dims < 2:
+            raise ValueError(f"out_dims must be at least 2, got {self.out_dims}")
+        if self.out_spacing <= 0:
+            raise ValueError(f"out_spacing must be positive, got {self.out_spacing}")
 
     @property
     def extent_mm(self) -> float:

@@ -87,6 +87,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be at least {lowest}, got {getattr(self, key)}")
         if self.orthogonality_form not in ORTHOGONALITY_FORMS:
             raise ConfigError(f"orthogonality_form must be one of {ORTHOGONALITY_FORMS}")
+        if self.out_dims >> len(self.channels) < 1:
+            raise ConfigError(f"out_dims {self.out_dims} too small for {len(self.channels)} pooling steps, "
+                              f"one per entry of channels")
         # the derived configs check their own values
         self.weights()
         self.augment_config()

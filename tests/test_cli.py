@@ -430,6 +430,34 @@ class TestHelpAndErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,override,key",
+        [
+            ("train", "out_spacing=0", "out_spacing"),
+            ("train", "out_dims=1", "out_dims"),
+            ("train", "channels=2,4,8,16,32", "out_dims"),
+            ("train", "scale_hi=1.5", "scale_hi"),
+            ("xval", "scale_lo=0.5", "scale_lo"),
+            ("train", "intensity_hi=1.5", "intensity_hi"),
+            ("train", "rot_deg=-1", "rot_deg"),
+            ("train", "trans_mm=-1", "trans_mm"),
+            ("ablate", "mirror_prob=2", "mirror_prob"),
+        ],
+    )
+    def test_derived_config_errors_name_the_experiment_key(self, dataset_dir, tmp_path, capsys, command, override, key):
+        out = tmp_path / "o"
+        axis = ["--axis", "representation"] if command == "ablate" else []
+        code = run_cli(
+            command, *axis, "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(out),
+            *TRAIN_OVERRIDES, "--set", override,
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert key in err
+        # the names of the derived configs' own fields are not config keys
+        assert not any(name in err for name in ("in_dims", "scale_range", "intensity_range", "output grid"))
+        assert not out.exists()
+
     def test_non_integer_fold_names_option(self, dataset_dir, tmp_path, capsys):
         code = run_cli(
             "xval", "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(tmp_path / "o"),

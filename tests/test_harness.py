@@ -276,7 +276,8 @@ class TestTrainOnPool:
         pools = []
 
         def install(n):
-            monkeypatch.setattr(_kernels, "_MIN_TASK", 0 if n else 1 << 62)
+            for name in ("_MIN_TASK", "_MIN_MACS"):
+                monkeypatch.setattr(_kernels, name, 0 if n else 1 << 62)
             if n:
                 pools.append(ThreadPoolExecutor(max_workers=n))
                 monkeypatch.setattr(_kernels, "_pool", pools[-1])
@@ -474,7 +475,7 @@ class TestFoldsAndAblations:
             import numpy as np
             from planereg import _kernels
             from planereg.harness import ExperimentConfig, cross_validate
-            _kernels._MIN_TASK = 0
+            _kernels._MIN_TASK = _kernels._MIN_MACS = 0
             x = np.ones((2, 1, 4, 4, 4), dtype=np.float32)
             _kernels.conv3d_forward(x, np.ones((2, 1, 3, 3, 3), dtype=np.float32), np.zeros(2, dtype=np.float32))
             # tasks that outlast their submission start every worker the pool may have

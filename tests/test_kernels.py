@@ -60,14 +60,20 @@ def _first_max_pool(x, gout):
     return out, gx
 
 
+def force_dispatch(monkeypatch, pooled):
+    """Sends every multi-sample kernel call to the pool, or runs every call inline."""
+    for name in ("_MIN_TASK", "_MIN_MACS"):
+        monkeypatch.setattr(_kernels, name, 0 if pooled else 1 << 62)
+
+
 class Inline:
     """Runs every kernel call inline; a ``Pooled`` subclass sends every call to the pool."""
 
-    MIN_TASK = 1 << 62
+    POOLED = False
 
     @pytest.fixture(autouse=True)
     def dispatch(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_MIN_TASK", self.MIN_TASK)
+        force_dispatch(monkeypatch, self.POOLED)
 
 
 class TestConv(Inline):
@@ -125,34 +131,45 @@ class TestConv(Inline):
 
 
 class TestConvPooled(TestConv):
-    MIN_TASK = 0
+    POOLED = True
 
 
 class TestSlabs(Inline):
-    """Odd shapes split into several slabs of output depths, with a shorter tail."""
+    """Odd shapes split into several slabs of output depths, with a shorter tail.
 
-    SHAPE = (2, 3, 7, 5, 6)  # D = 7 in slabs of 3, 3 and 1 depths
+    The forward pass draws its slabs from ``_column_slabs`` and the backward
+    pass from ``_plane_slabs``; ``_SLAB`` is set so that both give slabs of
+    ``DEPTH`` depths.
+    """
+
+    SHAPE = (2, 3, 7, 14, 16)  # D = 7: slabs of 3, 3 and 1 depths when DEPTH = 3; H != W
+    DEPTH = 3
 
     @pytest.fixture(autouse=True)
-    def three_depth_slabs(self, monkeypatch, dispatch):
-        _, C, _, H, W = self.SHAPE
-        monkeypatch.setattr(_kernels, "_SLAB", 3 * C * 27 * H * W)
-        drawn = []  # per sample: its slabs, and whether it ran on the calling thread
-        column_slabs = _kernels._column_slabs
+    def slabs_of_depth(self, monkeypatch, dispatch):
+        _, C, D, H, W = self.SHAPE
+        # a padded plane is 9/7 of a plane here, so for DEPTH <= 3 both builders take DEPTH depths
+        monkeypatch.setattr(_kernels, "_SLAB", self.DEPTH * C * 27 * (H + 2) * (W + 2))
+        drawn = []  # per sample and builder: its slabs, and whether it ran on the calling thread
 
-        def recording(xs, dtype):
-            slabs = []
-            drawn.append((slabs, threading.current_thread() is threading.main_thread()))
-            for z0, n, cols in column_slabs(xs, dtype):
-                slabs.append((z0, n))
-                yield z0, n, cols
+        def recording(builder):
+            def slabs_of(xs, dtype):
+                slabs = []
+                drawn.append((slabs, threading.current_thread() is threading.main_thread()))
+                for z0, n, cols in builder(xs, dtype):
+                    slabs.append((z0, n))
+                    yield z0, n, cols
 
-        monkeypatch.setattr(_kernels, "_column_slabs", recording)
+            return slabs_of
+
+        for name in ("_column_slabs", "_plane_slabs"):
+            monkeypatch.setattr(_kernels, name, recording(getattr(_kernels, name)))
         yield
-        assert drawn and all(slabs == [(0, 3), (3, 3), (6, 1)] for slabs, _ in drawn)
+        schedule = [(z0, min(self.DEPTH, D - z0)) for z0 in range(0, D, self.DEPTH)]
+        assert drawn and all(slabs == schedule for slabs, _ in drawn)
         on_caller = [inline for _, inline in drawn]
         # pooled, only single-sample calls stay on the calling thread
-        assert all(on_caller) if self.MIN_TASK else not all(on_caller)
+        assert not all(on_caller) if self.POOLED else all(on_caller)
 
     def _operands(self, seed, B=None, dtype=np.float64):
         rng = np.random.default_rng(seed)
@@ -180,6 +197,21 @@ class TestSlabs(Inline):
         np.testing.assert_allclose(gw, ref_gw, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(gb, ref_gb, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("need_gx", [True, False], ids=["gx", "no-gx"])
+    def test_float32_gradients_close_to_float64_sums(self, need_gx):
+        x, w, gout = self._operands(56, dtype=np.float32)
+        gx, gw, gb = _kernels.conv3d_backward(x, w, gout, need_gx=need_gx)
+        ref_gx, ref_gw, ref_gb = _adjoint_sums(*(a.astype(np.float64) for a in (x, w, gout)))
+        assert gw.dtype == gb.dtype == np.float32
+        # a float32 sum of a few thousand terms of size ~1
+        np.testing.assert_allclose(gw, ref_gw, rtol=1e-4, atol=1e-3)
+        np.testing.assert_allclose(gb, ref_gb, rtol=1e-4, atol=1e-3)
+        if need_gx:
+            assert gx.dtype == np.float32
+            np.testing.assert_allclose(gx, ref_gx, rtol=1e-4, atol=1e-4)
+        else:
+            assert gx is None
+
     def test_batch_rows_bitwise_equal_single_samples(self):
         x, w, gout = self._operands(54, B=3, dtype=np.float32)
         bias = np.random.default_rng(55).standard_normal(4).astype(np.float32)
@@ -192,7 +224,15 @@ class TestSlabs(Inline):
 
 
 class TestSlabsPooled(TestSlabs):
-    MIN_TASK = 0
+    POOLED = True
+
+
+class TestOneDepthSlabs(TestSlabs):
+    DEPTH = 1
+
+
+class TestOneDepthSlabsPooled(TestOneDepthSlabs):
+    POOLED = True
 
 
 class TestMaxPool(Inline):
@@ -242,7 +282,44 @@ class TestMaxPool(Inline):
 
 
 class TestMaxPoolPooled(TestMaxPool):
-    MIN_TASK = 0
+    POOLED = True
+
+
+# (C, O, side) of each conv block of the benchmark's networks (bench/workloads.py)
+TRAIN_PAPER_BLOCKS = [(1, 8, 72), (8, 16, 36), (16, 32, 18), (32, 64, 9), (64, 128, 4)]
+XVAL_CALCANEUS_BLOCKS = [(1, 4, 32), (4, 8, 16), (8, 16, 8)]
+
+
+MAP_TASKS = _kernels._map_tasks
+
+
+class _Dispatched(Exception):
+    """Ends a kernel call once the dispatcher has placed its tasks."""
+
+
+def where_conv_runs(monkeypatch, B, C, O, side):
+    """Where a conv block's forward and backward tasks run at batch ``B``: "pool" or "inline" each.
+
+    A recording stub runs no-op tasks through the real ``_map_tasks`` with
+    the call's arguments, then stops the kernel, so no conv is computed.
+    """
+    places = []
+
+    def recording(fn, n, size, min_size=None):
+        on_caller = MAP_TASKS(lambda i: threading.current_thread() is threading.main_thread(), n, size, min_size)
+        places.append("inline" if all(on_caller) else "pool")
+        raise _Dispatched
+
+    monkeypatch.setattr(_kernels, "_map_tasks", recording)
+    # broadcast views have the operands' shapes without their memory
+    x = np.broadcast_to(np.float32(1), (B, C, side, side, side))
+    w = np.ones((O, C, 3, 3, 3), dtype=np.float32)
+    gout = np.broadcast_to(np.float32(1), (B, O, side, side, side))
+    with pytest.raises(_Dispatched):
+        _kernels.conv3d_forward(x, w, np.zeros(O, dtype=np.float32))
+    with pytest.raises(_Dispatched):
+        _kernels.conv3d_backward(x, w, gout, need_gx=C > 1)
+    return places
 
 
 class TestDispatch:
@@ -262,9 +339,9 @@ class TestDispatch:
             return (out, *_kernels.conv3d_backward(x, w, gout), _kernels.conv3d_backward(x, w, gout, need_gx=False)[1],
                     pooled, _kernels.maxpool3d_backward(x, pooled, gpool))
 
-        monkeypatch.setattr(_kernels, "_MIN_TASK", 1 << 62)
+        force_dispatch(monkeypatch, pooled=False)
         inline = run()
-        monkeypatch.setattr(_kernels, "_MIN_TASK", 0)
+        force_dispatch(monkeypatch, pooled=True)
         for a, b in zip(inline, run()):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -276,9 +353,9 @@ class TestDispatch:
         per_sample = [_kernels.conv3d_backward(x[s : s + 1], w, gout[s : s + 1])[1] for s in range(3)]
         assert _kernels.conv3d_backward(x, w, gout)[1].tobytes() == ((per_sample[0] + per_sample[1]) + per_sample[2]).tobytes()
 
-    @pytest.mark.parametrize("min_task", [1 << 62, 0], ids=["inline", "pooled"])
-    def test_caller_errstate_reaches_every_task(self, monkeypatch, min_task):
-        monkeypatch.setattr(_kernels, "_MIN_TASK", min_task)
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
+    def test_caller_errstate_reaches_every_task(self, monkeypatch, pooled):
+        force_dispatch(monkeypatch, pooled)
         x = np.full((2, 1, 4, 4, 4), 1e30, dtype=np.float32)
         w = np.full((2, 1, 3, 3, 3), 1e30, dtype=np.float32)
         bias = np.zeros(2, dtype=np.float32)
@@ -295,6 +372,19 @@ class TestDispatch:
         assert calling == [True] * 5
         _kernels._map_tasks(record, 4, _kernels._MIN_TASK)
         assert calling[5:] == [False] * 4
+
+    @pytest.mark.parametrize("block", range(len(TRAIN_PAPER_BLOCKS)))
+    def test_train_paper_blocks_pool(self, monkeypatch, block):
+        assert where_conv_runs(monkeypatch, 8, *TRAIN_PAPER_BLOCKS[block]) == ["pool", "pool"]
+
+    @pytest.mark.parametrize("block", range(len(XVAL_CALCANEUS_BLOCKS)))
+    def test_xval_calcaneus_blocks_run_inline(self, monkeypatch, block):
+        assert where_conv_runs(monkeypatch, 4, *XVAL_CALCANEUS_BLOCKS[block]) == ["inline", "inline"]
+
+    @pytest.mark.parametrize("blocks", [TRAIN_PAPER_BLOCKS, XVAL_CALCANEUS_BLOCKS], ids=["train-paper", "xval-calcaneus"])
+    def test_single_samples_run_inline(self, monkeypatch, blocks):
+        for block in blocks:
+            assert where_conv_runs(monkeypatch, 1, *block) == ["inline", "inline"]
 
     def test_results_come_in_index_order(self):
         assert _kernels._map_tasks(lambda i: i * i, 16, _kernels._MIN_TASK) == [i * i for i in range(16)]
