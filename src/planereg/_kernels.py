@@ -29,41 +29,41 @@ calling thread cannot reuse it: the benchmark's 72^3 B=8 training peaked at
 444.5 MB, against 424.5 MB on one thread with one 8 MB column buffer.  With
 one arena and 4 MB column buffers it peaks at 427.3 MB (seed 5).
 
-The forward convolution is lowered to matrix products (im2col) one slab of
-output depths at a time.  For the ``n`` depths of a slab, the 27 shifted
-slices of the sample's zero-padded input are copied into a ``(C*27,
-n*H*W)`` column matrix, and ``w.reshape(O, C*27)`` times that matrix is the
-slab of the output.  A slab holds ``dz = _SLAB // (C*27*H*W)`` depths (at
-least one, at most ``D``), so the buffer holds at most about 4 MB in float32
-unless one depth alone needs more, and a slab is multiplied while its
-columns are still warm in cache.  Each task allocates its own padded input
-and one column buffer of that fixed size, which serves every slab of its
-sample, so two workers hold as much column memory as one 8 MB buffer; no
-call maps a whole sample's or batch's columns.
-
-The backward pass lowers onto the padded-plane grid instead.  Each sample
-is zero-padded to ``(C, D+3, H+2, W+2)`` and flattened per channel, so tap
+Both passes of the convolution lower to matrix products (im2col) on the
+padded-plane grid, one slab of output depths at a time.  Each sample is
+zero-padded to ``(C, D+3, H+2, W+2)`` and flattened per channel, so tap
 ``(i, j, k)`` is the flat offset ``i*P + j*(W+2) + k``, with ``P =
-(H+2)*(W+2)``, and a slab has one column per point of its ``n`` padded
-planes.  Output ``(z, y, x)`` is column ``(z - z0)*P + y*(W+2) + x``; the
-columns with ``y >= H`` or ``x >= W`` are the border, which belongs to no
-output.  The one spare zero plane is what the last slab's taps reach: its
-last column plus the largest offset is ``(D+2)*P + 2*W + 5``, which is
-below ``(D+3)*P``.  So each tap's im2col copy, and its col2im add, is one
-contiguous run per channel, where the forward lowering copies rows of ``W``
-elements.  A slab holds ``_SLAB // (C*27*P)`` depths.  Per slab, the
-slab's ``gout`` goes into a zero-bordered ``(O, n, H+2, W+2)`` buffer,
-``gext``, and three steps share the column buffer: ``gw += cols @
+(H+2)*(W+2)``, and a slab of ``n`` depths has one column per point of its
+``n`` padded planes: output ``(z, y, x)`` is column ``(z - z0)*P + y*(W+2)
++ x``, and the columns with ``y >= H`` or ``x >= W`` are the border, which
+belongs to no output.  The one spare zero plane is what the last slab's
+taps reach: its last column plus the largest offset is ``(D+2)*P + 2*W +
+5``, which is below ``(D+3)*P``.  So each tap's im2col copy, and the
+backward's col2im add, is one contiguous run per channel; copying the
+shifted ``(n, H, W)`` boxes instead moves rows of ``W`` elements.  A slab
+holds ``dz = _SLAB // (C*27*P)`` depths (at least one, at most ``D``), so
+the column buffer holds at most about 4 MB in float32 unless one depth
+alone needs more, and a slab is multiplied while its columns are still warm
+in cache.  Each task allocates its own padded input and one column buffer
+of that fixed size, which serves every slab of its sample, so two workers
+hold as much column memory as one 8 MB buffer; no call maps a whole
+sample's or batch's columns.  The grid costs ``P/(H*W)`` times the columns:
+1.11x at 36^2, 2.25x at 4^2.
+
+The forward pass multiplies ``w.reshape(O, C*27)`` by each slab's columns
+into an ``(O, n*P)`` buffer and adds the bias as it copies the interior out.
+Each output element is the same dot product as on a grid without borders,
+and for the benchmark's five 72^3 blocks, at B=1 and B=8 in float32, the
+outputs are bitwise those of the box-copy lowering.  The backward
+pass puts the slab's ``gout`` into a zero-bordered ``(O, n, H+2, W+2)``
+buffer, ``gext``, and three steps share the column buffer: ``gw += cols @
 gext.T``; ``cols = w2.T @ gext``; and 27 contiguous adds of ``cols`` into
 the task's flat padded gradient, whose interior is the sample's input
 gradient.  The border columns of ``gext`` are zero, so, for finite
-operands, they add nothing to either gradient.  The grid costs ``P/(H*W)``
-times the columns: 1.11x at 36^2, 2.25x at 4^2.  Even so, traced at 72^3
-and B=8 (seed 1, 2 vCPUs), the second block's backward took 131 ms,
-against 176 ms on the forward's grid.  The call sums the tasks' weight
-gradients in sample order.  The forward pass keeps its own lowering:
-on the padded-plane grid, the first two blocks of the benchmark's 72^3 B=8
-training took 70.6 and 59.6 ms, against 66.6 and 59.9 ms (2 vCPUs).
+operands, they add nothing to either gradient.  Traced at 72^3 and B=8
+(seed 1, 2 vCPUs), the second block's backward took 131 ms on this grid,
+against 176 ms with box copies.  The call sums the tasks' weight gradients
+in sample order.
 
 The slab depths depend on ``C``, ``D``, ``H`` and ``W`` only, never on the
 batch size, and each sample's output and input gradient depend only on that
@@ -157,43 +157,21 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-def _map_tasks(fn, n: int, size: int, min_size: int | None = None) -> list:
+def _map_tasks(fn, n: int, size: int, min_size: int) -> list:
     """``[fn(0), ..., fn(n - 1)]``, on the pool unless ``n == 1`` or ``size < min_size``.
 
-    ``size`` measures one task's work: a conv passes its multiply-adds and
-    ``min_size = _MIN_MACS``; other callers pass the element count of its
-    largest array and leave ``min_size`` to default to ``_MIN_TASK``.  Each
-    pooled task runs in a copy of the caller's context, so it sees the
-    caller's ``np.errstate``.  If tasks raise, the exception of the first of
-    them in index order is raised here.
+    ``size`` measures one task's work, in the unit of ``min_size``: a conv
+    passes its multiply-adds and ``_MIN_MACS``, other callers the element
+    count of its largest array and ``_MIN_TASK``.  Each pooled task runs in
+    a copy of the caller's context, so it sees the caller's ``np.errstate``.
+    If tasks raise, the exception of the first of them in index order is
+    raised here.
     """
-    if n == 1 or size < (_MIN_TASK if min_size is None else min_size):
+    if n == 1 or size < min_size:
         return [fn(i) for i in range(n)]
     pool = _executor()
     futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(n)]
     return [f.result() for f in futures]
-
-
-def _column_slabs(xs, dtype):
-    """Yield ``(z0, n, cols)`` for each slab of output depths of the sample ``xs``.
-
-    ``xs`` is one ``(C, D, H, W)`` sample.  ``cols`` is the ``(C*27, n*H*W)``
-    column matrix of the ``n`` depths from ``z0`` on: row ``c*27 + t`` holds
-    channel ``c`` of the zero-padded sample shifted by tap ``t``.  Every
-    matrix is a view of one buffer that serves every slab of the sample, so
-    it is valid, and may be overwritten, only until the next one is drawn.
-    """
-    C, D, H, W = xs.shape
-    dz = max(1, min(D, _SLAB // (C * 27 * H * W)))
-    xpad = np.zeros((C, D + 2, H + 2, W + 2), dtype=dtype)
-    xpad[:, 1:-1, 1:-1, 1:-1] = xs
-    buf = np.empty(C * 27 * dz * H * W, dtype=dtype)
-    for z0 in range(0, D, dz):
-        n = min(dz, D - z0)
-        cols = buf[: C * 27 * n * H * W].reshape(C, 27, n, H, W)
-        for t, (i, j, k) in enumerate(_TAPS):
-            cols[:, t] = xpad[:, z0 + i : z0 + i + n, j : j + H, k : k + W]
-        yield z0, n, cols.reshape(C * 27, n * H * W)
 
 
 def _plane_offsets(H, W):
@@ -239,18 +217,24 @@ def conv3d_forward(x, w, bias):
     """
     B, C, D, H, W = x.shape
     O = w.shape[0]
+    P = (H + 2) * (W + 2)
     dtype = np.result_type(x, w, bias)
     w2 = w.reshape(O, -1).astype(dtype, copy=False)
-    b = bias.astype(dtype, copy=False)[:, None]
-    rows = np.empty((B, O, D * H * W), dtype=dtype)
+    b = bias.astype(dtype, copy=False)[:, None, None, None]
+    out = np.empty((B, O, D, H, W), dtype=dtype)
 
     def sample(s):
-        for z0, n, cols in _column_slabs(x[s], dtype):
-            np.matmul(w2, cols, out=rows[s, :, z0 * H * W : (z0 + n) * H * W])
-        rows[s] += b
+        ext = None
+        for z0, n, cols in _plane_slabs(x[s], dtype):
+            if ext is None:  # the first slab is the deepest
+                ext = np.empty(O * n * P, dtype=dtype)
+            slab = ext[: O * n * P].reshape(O, n * P)
+            np.matmul(w2, cols, out=slab)
+            # the bias goes on as the slab's interior is copied out
+            np.add(slab.reshape(O, n, H + 2, W + 2)[:, :, :H, :W], b, out=out[s, :, z0 : z0 + n])
 
     _map_tasks(sample, B, O * C * 27 * D * H * W, _MIN_MACS)
-    return rows.reshape(B, O, D, H, W)
+    return out
 
 
 def conv3d_backward(x, w, gout, need_gx: bool = True):
@@ -315,7 +299,7 @@ def maxpool3d_forward(x):
         for v in views[2:]:
             np.maximum(out[s], v, out=out[s])
 
-    _map_tasks(sample, B, C * D * H * W)
+    _map_tasks(sample, B, C * D * H * W, _MIN_TASK)
     return out
 
 
@@ -337,5 +321,5 @@ def maxpool3d_backward(x, out, gout):
             np.copyto(gv, gout[s], where=hit)
             unclaimed ^= hit
 
-    _map_tasks(sample, x.shape[0], x[0].size)
+    _map_tasks(sample, x.shape[0], x[0].size, _MIN_TASK)
     return gx

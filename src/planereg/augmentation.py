@@ -106,16 +106,15 @@ class AugmentConfig:
     intensity_range: tuple[float, float]
 
     def __post_init__(self):
-        # each message names the experiment keys the value comes from
         for key in ("rot_deg", "trans_mm"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
         lo, hi = self.scale_range
         if not (0.9 <= lo <= hi <= 1.1):
-            raise ValueError(f"need 0.9 <= scale_lo <= scale_hi <= 1.1, got scale_lo={lo}, scale_hi={hi}")
+            raise ValueError(f"scale_range must be ordered and lie within [0.9, 1.1], got ({lo}, {hi})")
         ilo, ihi = self.intensity_range
         if not (0.95 <= ilo <= ihi <= 1.05):
-            raise ValueError(f"need 0.95 <= intensity_lo <= intensity_hi <= 1.05, got intensity_lo={ilo}, intensity_hi={ihi}")
+            raise ValueError(f"intensity_range must be ordered and lie within [0.95, 1.05], got ({ilo}, {ihi})")
         if not 0.0 <= self.mirror_prob <= 1.0:
             raise ValueError(f"mirror_prob must be a probability, got {self.mirror_prob}")
         if self.out_dims < 2:

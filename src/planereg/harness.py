@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import _map_tasks
+from ._kernels import _MIN_TASK, _map_tasks
 from .augmentation import AugmentConfig, SeededRng, augment_sample, center_input, decode_plane_vector
 from .config import ConfigError, Field, field_values, schema
 from .geometry import DegenerateEncodingError, PlaneFrame, RotationKind, read_plane_file
@@ -39,6 +39,12 @@ from .volume import Volume, read_volume
 logger = logging.getLogger(__name__)
 
 _AUG_TAG = 1000  # seed-sequence namespace for per-sample augmentation draws
+# fields of the derived configs whose experiment keys have other names
+_DERIVED_FIELD_KEYS = {
+    "scale_range": "(scale_lo, scale_hi)",
+    "intensity_range": "(intensity_lo, intensity_hi)",
+    "in_dims": "out_dims",
+}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -87,13 +93,15 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be at least {lowest}, got {getattr(self, key)}")
         if self.orthogonality_form not in ORTHOGONALITY_FORMS:
             raise ConfigError(f"orthogonality_form must be one of {ORTHOGONALITY_FORMS}")
-        if self.out_dims >> len(self.channels) < 1:
-            raise ConfigError(f"out_dims {self.out_dims} too small for {len(self.channels)} pooling steps, "
-                              f"one per entry of channels")
-        # the derived configs check their own values
-        self.weights()
-        self.augment_config()
-        self.network_config()
+        # the derived configs check their own values; their errors name the experiment keys
+        for build in (self.weights, self.augment_config, self.network_config):
+            try:
+                build()
+            except ValueError as exc:
+                message = str(exc)
+                for field, keys in _DERIVED_FIELD_KEYS.items():
+                    message = message.replace(field, keys)
+                raise ConfigError(message) from None
 
     def to_values(self) -> dict:
         return field_values(self)
@@ -320,7 +328,7 @@ def train(
                 targets[row] = aug.target
                 return aug.center_out_of_bounds
 
-            out_of_cube += sum(_map_tasks(fill, len(batch), cfg.out_dims**3))
+            out_of_cube += sum(_map_tasks(fill, len(batch), cfg.out_dims**3, _MIN_TASK))
             pred = net.forward(images)
             node = loss_graph(pred, targets, weights, cfg.representation, len(names), cfg.orthogonality_form)
             value = node.item()

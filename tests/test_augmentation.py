@@ -89,9 +89,10 @@ class TestAugmentConfig:
         assert degenerate_config(out_dims=64, out_spacing=2.5).extent_mm == pytest.approx(160.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        # the messages name AugmentConfig's own fields, not the experiment keys they come from
+        with pytest.raises(ValueError, match="scale_range"):
             degenerate_config(scale_range=(0.8, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="intensity_range"):
             degenerate_config(intensity_range=(0.9, 1.0))
         with pytest.raises(ValueError):
             degenerate_config(mirror_prob=1.5)

@@ -479,7 +479,7 @@ class TestFoldsAndAblations:
             x = np.ones((2, 1, 4, 4, 4), dtype=np.float32)
             _kernels.conv3d_forward(x, np.ones((2, 1, 3, 3, 3), dtype=np.float32), np.zeros(2, dtype=np.float32))
             # tasks that outlast their submission start every worker the pool may have
-            _kernels._map_tasks(lambda i: time.sleep(0.05), 8, 0)
+            _kernels._map_tasks(lambda i: time.sleep(0.05), 8, 0, 0)
             cfg = ExperimentConfig(**{tiny_config().to_values()!r})
             print(len(cross_validate(cfg, {str(tiny_dataset)!r}, {str(tmp_path / "xval")!r}, jobs=2)))
         """)

@@ -137,9 +137,8 @@ class TestConvPooled(TestConv):
 class TestSlabs(Inline):
     """Odd shapes split into several slabs of output depths, with a shorter tail.
 
-    The forward pass draws its slabs from ``_column_slabs`` and the backward
-    pass from ``_plane_slabs``; ``_SLAB`` is set so that both give slabs of
-    ``DEPTH`` depths.
+    ``_SLAB`` is set so that ``_plane_slabs``, which both passes draw their
+    slabs from, gives slabs of ``DEPTH`` depths.
     """
 
     SHAPE = (2, 3, 7, 14, 16)  # D = 7: slabs of 3, 3 and 1 depths when DEPTH = 3; H != W
@@ -148,22 +147,18 @@ class TestSlabs(Inline):
     @pytest.fixture(autouse=True)
     def slabs_of_depth(self, monkeypatch, dispatch):
         _, C, D, H, W = self.SHAPE
-        # a padded plane is 9/7 of a plane here, so for DEPTH <= 3 both builders take DEPTH depths
         monkeypatch.setattr(_kernels, "_SLAB", self.DEPTH * C * 27 * (H + 2) * (W + 2))
-        drawn = []  # per sample and builder: its slabs, and whether it ran on the calling thread
+        drawn = []  # per sample: its slabs, and whether it ran on the calling thread
+        builder = _kernels._plane_slabs
 
-        def recording(builder):
-            def slabs_of(xs, dtype):
-                slabs = []
-                drawn.append((slabs, threading.current_thread() is threading.main_thread()))
-                for z0, n, cols in builder(xs, dtype):
-                    slabs.append((z0, n))
-                    yield z0, n, cols
+        def slabs_of(xs, dtype):
+            slabs = []
+            drawn.append((slabs, threading.current_thread() is threading.main_thread()))
+            for z0, n, cols in builder(xs, dtype):
+                slabs.append((z0, n))
+                yield z0, n, cols
 
-            return slabs_of
-
-        for name in ("_column_slabs", "_plane_slabs"):
-            monkeypatch.setattr(_kernels, name, recording(getattr(_kernels, name)))
+        monkeypatch.setattr(_kernels, "_plane_slabs", slabs_of)
         yield
         schedule = [(z0, min(self.DEPTH, D - z0)) for z0 in range(0, D, self.DEPTH)]
         assert drawn and all(slabs == schedule for slabs, _ in drawn)
@@ -305,7 +300,7 @@ def where_conv_runs(monkeypatch, B, C, O, side):
     """
     places = []
 
-    def recording(fn, n, size, min_size=None):
+    def recording(fn, n, size, min_size):
         on_caller = MAP_TASKS(lambda i: threading.current_thread() is threading.main_thread(), n, size, min_size)
         places.append("inline" if all(on_caller) else "pool")
         raise _Dispatched
@@ -367,10 +362,10 @@ class TestDispatch:
     def test_small_tasks_and_single_samples_run_inline(self):
         calling = []
         record = lambda i: calling.append(threading.current_thread() is threading.main_thread())
-        _kernels._map_tasks(record, 4, _kernels._MIN_TASK - 1)
-        _kernels._map_tasks(record, 1, _kernels._MIN_TASK)
+        _kernels._map_tasks(record, 4, _kernels._MIN_TASK - 1, _kernels._MIN_TASK)
+        _kernels._map_tasks(record, 1, _kernels._MIN_TASK, _kernels._MIN_TASK)
         assert calling == [True] * 5
-        _kernels._map_tasks(record, 4, _kernels._MIN_TASK)
+        _kernels._map_tasks(record, 4, _kernels._MIN_TASK, _kernels._MIN_TASK)
         assert calling[5:] == [False] * 4
 
     @pytest.mark.parametrize("block", range(len(TRAIN_PAPER_BLOCKS)))
@@ -387,7 +382,7 @@ class TestDispatch:
             assert where_conv_runs(monkeypatch, 1, *block) == ["inline", "inline"]
 
     def test_results_come_in_index_order(self):
-        assert _kernels._map_tasks(lambda i: i * i, 16, _kernels._MIN_TASK) == [i * i for i in range(16)]
+        assert _kernels._map_tasks(lambda i: i * i, 16, _kernels._MIN_TASK, _kernels._MIN_TASK) == [i * i for i in range(16)]
 
 
 def test_numpy_openblas_pinned_to_one_thread():
