@@ -1,4 +1,4 @@
-"""Numpy kernels for the 3x3x3 convolution and 2x2x2 max-pooling primitives.
+"""Numpy kernels for the 3x3x3 convolution, 2x2x2 max pooling, and the fused conv block.
 
 Every kernel splits its batch into one task per sample and hands the tasks
 to :func:`_map_tasks`.  That runs them on one lazily built thread pool with
@@ -9,11 +9,12 @@ tasks inline, on the calling thread, when it has one task (B=1 inference)
 or when its tasks are small.  A conv task is small below ``_MIN_MACS``
 (2^23) multiply-adds, ``O*C*27*D*H*W``; a pooling task, or a batch row
 that ``harness.train`` fills, below ``_MIN_TASK`` elements in its largest
-array.  Counting multiply-adds, every conv block of the benchmark's 72^3
-network (channels 8-128) pools at B=8: its smallest task, the last block's
-(64 to 128 channels at 4^3), is 14.2 M.  By the element rule alone, its
-last three blocks would run inline.  Every block of the 32^3 cross-validation
-network (channels 4/8/16) stays inline at B=4: its largest task is 3.5 M.
+array.  A fused block's task counts as its conv's.  Counting multiply-adds,
+every conv block of the benchmark's 72^3 network (channels 8-128) pools at
+B=8: its smallest task, the last block's (64 to 128 channels at 4^3), is
+14.2 M.  By the element rule alone, its last three blocks would run
+inline.  Every block of the 32^3 cross-validation network (channels 4/8/16)
+stays inline at B=4: its largest task is 3.5 M.
 Such tasks gain nothing from a second core: with every call pooled, that
 cross-validation was no faster (1064 and 953 ms, against 962 and 984 ms)
 and peaked at 59.3 and 60.6 MB, against 55.4 and 55.3 MB (seed 4, 2
@@ -27,7 +28,8 @@ so threads started from then on allocate from the main malloc arena.  With
 an arena per worker, what a worker frees stays in its arena, where the
 calling thread cannot reuse it: the benchmark's 72^3 B=8 training peaked at
 444.5 MB, against 424.5 MB on one thread with one 8 MB column buffer.  With
-one arena and 4 MB column buffers it peaks at 427.3 MB (seed 5).
+one arena and 4 MB column buffers it peaked at 427.3 MB (seed 5), when each
+block still ran as three ops.
 
 Both passes of the convolution lower to matrix products (im2col) on the
 padded-plane grid, one slab of output depths at a time.  Each sample is
@@ -42,28 +44,29 @@ taps reach: its last column plus the largest offset is ``(D+2)*P + 2*W +
 backward's col2im add, is one contiguous run per channel; copying the
 shifted ``(n, H, W)`` boxes instead moves rows of ``W`` elements.  A slab
 holds ``dz = _SLAB // (C*27*P)`` depths (at least one, at most ``D``), so
-the column buffer holds at most about 4 MB in float32 unless one depth
+the column buffer holds at most about 5 MB in float32 unless one depth
 alone needs more, and a slab is multiplied while its columns are still warm
 in cache.  Each task allocates its own padded input and one column buffer
 of that fixed size, which serves every slab of its sample, so two workers
-hold as much column memory as one 8 MB buffer; no call maps a whole
+hold as much column memory as one 10 MB buffer; no call maps a whole
 sample's or batch's columns.  The grid costs ``P/(H*W)`` times the columns:
 1.11x at 36^2, 2.25x at 4^2.
 
 The forward pass multiplies ``w.reshape(O, C*27)`` by each slab's columns
-into an ``(O, n*P)`` buffer and adds the bias as it copies the interior out.
+into an ``(O, n*P)`` buffer (:func:`_product_slabs`) and adds the bias as
+it copies the interior out.
 Each output element is the same dot product as on a grid without borders,
 and for the benchmark's five 72^3 blocks, at B=1 and B=8 in float32, the
-outputs are bitwise those of the box-copy lowering.  The backward
-pass puts the slab's ``gout`` into a zero-bordered ``(O, n, H+2, W+2)``
-buffer, ``gext``, and three steps share the column buffer: ``gw += cols @
-gext.T``; ``cols = w2.T @ gext``; and 27 contiguous adds of ``cols`` into
-the task's flat padded gradient, whose interior is the sample's input
-gradient.  The border columns of ``gext`` are zero, so, for finite
-operands, they add nothing to either gradient.  Traced at 72^3 and B=8
-(seed 1, 2 vCPUs), the second block's backward took 131 ms on this grid,
-against 176 ms with box copies.  The call sums the tasks' weight gradients
-in sample order.
+outputs are bitwise those of the box-copy lowering.  The backward pass
+(:func:`_sample_gradients`) puts the slab's ``gout`` into a zero-bordered
+``(O, n, H+2, W+2)`` buffer, ``gext``, and three steps share the column
+buffer: ``gw += cols @ gext.T``; ``cols = w2.T @ gext``; and 27 contiguous
+adds of ``cols`` into the task's flat padded gradient, whose interior is
+the sample's input gradient.  The border columns of ``gext`` are zero, so,
+for finite operands, they add nothing to either gradient.  Traced at 72^3
+and B=8 (seed 1, 2 vCPUs), the second block's backward took 131 ms on this
+grid, against 176 ms with box copies.  The call sums the tasks' weight
+gradients in sample order.
 
 The slab depths depend on ``C``, ``D``, ``H`` and ``W`` only, never on the
 batch size, and each sample's output and input gradient depend only on that
@@ -77,6 +80,53 @@ gradient and walks the views in the same order, and each view claims the
 outputs it equals that no earlier view claimed, so the gradient goes to the
 first maximum of each block.  For a fixed input every result is bitwise
 deterministic.
+
+The network runs each conv block, ``relu(maxpool3d(conv3d(x)))``, as one
+fused op, and never allocates the conv output or its gradient (Alwani et
+al., 2016, "Fused-Layer CNN Accelerators").  :func:`conv_block_forward`
+draws its slabs from the same loop as the plain forward, with ``even``: the
+slabs cover the ``D // 2 * 2`` depths that the pooling reads, and each holds
+an even number of them, ``dz`` rounded down to even and at least 2, since
+depths pool in pairs.  Each slab's product, while it is still in cache, is
+folded over its eight stride-2 views into the slab's ``n/2`` pooled depths,
+in the same offset order and with the same ``np.maximum`` as
+:func:`maxpool3d_forward`.  Then the bias goes on, to the pooled eighth of
+the values, and the ReLU after it.  Rounding is monotone, so ``max(p) + b``
+is bitwise ``max(p + b)``, and the outputs are bitwise those of the three
+ops: for the benchmark's five 72^3 blocks at B=1 and B=8 in float32 they
+are.  Adding the bias to the whole slab before the max made a 72^3 B=1
+``predict`` 1.5% slower (median 18.4 against 18.1 ms, 2 vCPUs).  The odd
+trailing depth is never computed; the odd trailing row and column are
+computed but never read.  All three get zero gradient.
+
+When the tape is on (``record``), the fold also writes ``first``, a uint8
+array of the pooled shape: per pooled output, the offset index of its
+block's first maximum.  A later view claims a block only by exceeding the
+running maximum, and codes only grow along the fold, so each claim is a
+``np.maximum`` of codes, without a branch.  The first maximum is taken on
+the raw sums, before the bias: where two sums differ but round to one
+biased value, the three ops route the gradient to the earlier voxel, and
+the fused block to the larger sum.  A block whose maximum is NaN gets a
+code, but its output is NaN, so the ReLU mask routes it nothing, as before.
+The record costs ``first`` (a quarter of the pooled output's bytes in
+float32) and a few uint8 passes; inference records nothing.
+
+:func:`conv_block_backward` runs the same slab loop as the conv backward.
+For each slab, its fill masks the pooled gradient by ``out > 0`` (the
+ReLU), routes each value through its code into the zero-bordered ``gext``,
+and gives the other seven voxels of each block +0.  The three steps above
+follow unchanged.  The bias gradient is the sum of the masked pooled
+gradient, per slab, and the tasks' sums are added in sample order.  Traced
+over one 72^3 B=8 training step (2 vCPUs), the peak allocation fell from
+323 MiB with three ops, which held block 0's 91 MiB conv output and its
+gradient together, to 57.5 MiB.
+
+``_SLAB`` is 5 MB rather than 4 because of the even rule: at 4 MB it cut
+the second 72^3 block's slabs from 3 depths to 2.  One B=8 training step
+(forward and backward, one process, 2 vCPUs) took 291-317 ms with 4 MB
+slabs and 250-258 ms with 5 MB, against 329-386 ms for three-op blocks
+with 4 MB slabs.  B=1 ``predict``'s traced peak grew from 7.5 to 8.9 MiB,
+against 18.1 MiB with three ops.
 
 Importing this module sets numpy's OpenBLAS, if that is its BLAS, to one
 thread for the whole process, so each pool worker's products run on its
@@ -100,7 +150,7 @@ import numpy as np
 
 _OFFSETS = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
 _TAPS = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
-_SLAB = 1 << 20  # elements in a task's column buffer: 4 MB in float32
+_SLAB = 5 << 18  # elements in a task's column buffer: 5 MB in float32
 _MIN_TASK = 1 << 18  # elements of a pool or batch-fill task's largest array below which a call runs inline: 1 MB in float32
 _MIN_MACS = 1 << 23  # multiply-adds of a conv task below which a conv call runs inline
 
@@ -179,7 +229,7 @@ def _plane_offsets(H, W):
     return [(i * (H + 2) + j) * (W + 2) + k for i, j, k in _TAPS]
 
 
-def _plane_slabs(xs, dtype):
+def _plane_slabs(xs, dtype, even=False):
     """Yield ``(z0, n, cols)`` for each slab of output depths of ``xs``, on the padded-plane grid.
 
     ``xs`` is one ``(C, D, H, W)`` sample.  It is zero-padded to ``(C, D+3,
@@ -191,22 +241,94 @@ def _plane_slabs(xs, dtype):
     the border (``y >= H`` or ``x >= W``) belong to no output.  Every matrix
     is a view of one buffer that serves every slab of the sample, so it is
     valid, and may be overwritten, only until the next one is drawn.
+
+    With ``even``, the slabs cover the ``D // 2 * 2`` depths that a 2x2x2
+    pooling reads, and each holds an even number of them, at least two.
     """
     C, D, H, W = xs.shape
     P = (H + 2) * (W + 2)
-    dz = max(1, min(D, _SLAB // (C * 27 * P)))
+    depths = D // 2 * 2 if even else D
+    dz = max(1, min(depths, _SLAB // (C * 27 * P)))
+    if even:
+        dz = max(2, dz // 2 * 2)
     xpad = np.zeros((C, D + 3, H + 2, W + 2), dtype=dtype)
     xpad[:, 1 : D + 1, 1:-1, 1:-1] = xs
     flat = xpad.reshape(C, (D + 3) * P)
     buf = np.empty(C * 27 * dz * P, dtype=dtype)
     offsets = _plane_offsets(H, W)
-    for z0 in range(0, D, dz):
-        n = min(dz, D - z0)
+    for z0 in range(0, depths, dz):
+        n = min(dz, depths - z0)
         cols = buf[: C * 27 * n * P].reshape(C, 27, n * P)
         for t, off in enumerate(offsets):
             start = z0 * P + off
             cols[:, t] = flat[:, start : start + n * P]
         yield z0, n, cols.reshape(C * 27, n * P)
+
+
+def _product_slabs(xs, w2, dtype, even=False):
+    """Yield ``(z0, n, prod)``: each slab of ``_plane_slabs(xs, dtype, even)`` multiplied by ``w2``.
+
+    ``w2`` is the ``(O, C*27)`` weight matrix.  ``prod`` is the slab's
+    ``(O, n, H+2, W+2)`` convolution without the bias, on its padded planes;
+    its border rows and columns belong to no output.  It lives in one buffer
+    that serves every slab, so it is valid only until the next is drawn.
+    """
+    _, _, H, W = xs.shape
+    O = w2.shape[0]
+    P = (H + 2) * (W + 2)
+    ext = None
+    for z0, n, cols in _plane_slabs(xs, dtype, even):
+        if ext is None:  # the first slab is the deepest
+            ext = np.empty(O * n * P, dtype=dtype)
+        prod = ext[: O * n * P].reshape(O, n * P)
+        np.matmul(w2, cols, out=prod)
+        yield z0, n, prod.reshape(O, n, H + 2, W + 2)
+
+
+def _sample_gradients(xs, w2t, fill, need_gx, dtype, even=False):
+    """One sample's convolution gradients, slab by slab: ``(gwt, gxs)``.
+
+    ``w2t`` is the ``(C*27, O)`` transposed weight matrix.  For each slab of
+    ``_plane_slabs(xs, dtype, even)``, ``fill(gext, z0, n)`` writes the
+    gradient of the slab's conv outputs into ``gext[:, :, :H, :W]``, where
+    ``gext`` is the slab's ``(O, n, H+2, W+2)`` buffer; what it leaves
+    unwritten stays zero.  ``gwt`` is the ``(C*27, O)`` weight gradient and
+    ``gxs`` the ``(C, D, H, W)`` input gradient, or None without ``need_gx``.
+    """
+    C, D, H, W = xs.shape
+    O = w2t.shape[1]
+    P = (H + 2) * (W + 2)
+    offsets = _plane_offsets(H, W)
+    gwt = np.zeros((C * 27, O), dtype=dtype)
+    gflat = np.zeros((C, (D + 3) * P), dtype=dtype) if need_gx else None
+    gext = None
+    for z0, n, cols in _plane_slabs(xs, dtype, even):
+        if gext is None:  # the first slab is the deepest; its border stays zero
+            gext = np.zeros((O, n, H + 2, W + 2), dtype=dtype)
+        fill(gext[:, :n], z0, n)
+        gslab = gext[:, :n].reshape(O, n * P)
+        # np.dot, not matmul: on two threads, matmul's thin products with
+        # an output as small as 27 x 8 ran no faster than on one
+        gwt += np.dot(cols, gslab.T)
+        if not need_gx:
+            continue
+        # col2im: the slab's column gradient, added back one contiguous run per tap and channel
+        np.matmul(w2t, gslab, out=cols)
+        taps = cols.reshape(C, 27, n * P)
+        for t, off in enumerate(offsets):
+            start = z0 * P + off
+            gflat[:, start : start + n * P] += taps[:, t]
+    if not need_gx:
+        return gwt, None
+    return gwt, gflat.reshape(C, D + 3, H + 2, W + 2)[:, 1 : D + 1, 1:-1, 1:-1]
+
+
+def _sum_in_order(parts):
+    """The sum of ``parts``, added in index order into the first of them."""
+    total = parts[0]
+    for p in parts[1:]:
+        total += p
+    return total
 
 
 def conv3d_forward(x, w, bias):
@@ -217,21 +339,15 @@ def conv3d_forward(x, w, bias):
     """
     B, C, D, H, W = x.shape
     O = w.shape[0]
-    P = (H + 2) * (W + 2)
     dtype = np.result_type(x, w, bias)
     w2 = w.reshape(O, -1).astype(dtype, copy=False)
     b = bias.astype(dtype, copy=False)[:, None, None, None]
     out = np.empty((B, O, D, H, W), dtype=dtype)
 
     def sample(s):
-        ext = None
-        for z0, n, cols in _plane_slabs(x[s], dtype):
-            if ext is None:  # the first slab is the deepest
-                ext = np.empty(O * n * P, dtype=dtype)
-            slab = ext[: O * n * P].reshape(O, n * P)
-            np.matmul(w2, cols, out=slab)
+        for z0, n, prod in _product_slabs(x[s], w2, dtype):
             # the bias goes on as the slab's interior is copied out
-            np.add(slab.reshape(O, n, H + 2, W + 2)[:, :, :H, :W], b, out=out[s, :, z0 : z0 + n])
+            np.add(prod[:, :, :H, :W], b, out=out[s, :, z0 : z0 + n])
 
     _map_tasks(sample, B, O * C * 27 * D * H * W, _MIN_MACS)
     return out
@@ -245,41 +361,104 @@ def conv3d_backward(x, w, gout, need_gx: bool = True):
     """
     B, C, D, H, W = x.shape
     O = w.shape[0]
-    P = (H + 2) * (W + 2)
     dtype = np.result_type(x, w, gout)
     w2t = w.reshape(O, C * 27).astype(dtype, copy=False).T
     gx = np.empty(x.shape, dtype=dtype) if need_gx else None
-    offsets = _plane_offsets(H, W)
 
     def sample(s):
-        gwt = np.zeros((C * 27, O), dtype=dtype)
-        gflat = np.zeros((C, (D + 3) * P), dtype=dtype) if need_gx else None
-        gext = None
-        for z0, n, cols in _plane_slabs(x[s], dtype):
-            if gext is None:  # the first slab is the deepest; its border stays zero
-                gext = np.zeros((O, n, H + 2, W + 2), dtype=dtype)
-            gext[:, :n, :H, :W] = gout[s, :, z0 : z0 + n]
-            gslab = gext[:, :n].reshape(O, n * P)
-            # np.dot, not matmul: on two threads, matmul's thin products with
-            # an output as small as 27 x 8 ran no faster than on one
-            gwt += np.dot(cols, gslab.T)
-            if not need_gx:
-                continue
-            # col2im: the slab's column gradient, added back one contiguous run per tap and channel
-            np.matmul(w2t, gslab, out=cols)
-            taps = cols.reshape(C, 27, n * P)
-            for t, off in enumerate(offsets):
-                start = z0 * P + off
-                gflat[:, start : start + n * P] += taps[:, t]
+        def fill(gext, z0, n):
+            gext[:, :, :H, :W] = gout[s, :, z0 : z0 + n]
+
+        gwt, gxs = _sample_gradients(x[s], w2t, fill, need_gx, dtype)
         if need_gx:
-            gx[s] = gflat.reshape(C, D + 3, H + 2, W + 2)[:, 1 : D + 1, 1:-1, 1:-1]
+            gx[s] = gxs
         return gwt
 
-    partials = _map_tasks(sample, B, O * C * 27 * D * H * W, _MIN_MACS)
-    gwt = partials[0]
-    for p in partials[1:]:
-        gwt += p
+    gwt = _sum_in_order(_map_tasks(sample, B, O * C * 27 * D * H * W, _MIN_MACS))
     return gx, gwt.T.reshape(w.shape), gout.sum(axis=(0, 2, 3, 4))
+
+
+def conv_block_forward(x, w, bias, record: bool = False):
+    """One conv block, ``relu(maxpool3d(conv3d_forward(x, w, bias)))``, slab by slab.
+
+    Returns ``(out, first)``: ``out`` is ``(B, O, D//2, H//2, W//2)``, and
+    ``first`` is None unless ``record``, when it is a uint8 array of
+    ``out``'s shape holding each block's first-maximum offset (an index
+    into ``_OFFSETS``) for :func:`conv_block_backward`.
+    """
+    B, C, D, H, W = x.shape
+    O = w.shape[0]
+    H2, W2 = H // 2 * 2, W // 2 * 2
+    dtype = np.result_type(x, w, bias)
+    w2 = w.reshape(O, -1).astype(dtype, copy=False)
+    b = bias.astype(dtype, copy=False)[:, None, None, None]
+    out = np.empty((B, O, D // 2, H // 2, W // 2), dtype=dtype)
+    first = np.empty(out.shape, dtype=np.uint8) if record else None
+
+    def sample(s):
+        above = np.empty(out.shape[1:], dtype=bool) if record else None
+        for z0, n, prod in _product_slabs(x[s], w2, dtype, even=True):
+            q = slice(z0 // 2, (z0 + n) // 2)
+            pooled = out[s, :, q]
+            views = [prod[:, a:n:2, c:H2:2, e:W2:2] for a, c, e in _OFFSETS]
+            np.maximum(views[0], views[1], out=pooled)
+            if record:
+                # the first maximum of the raw sums: a later view claims a block only by exceeding it
+                code = first[s, :, q]
+                np.greater(views[1], views[0], out=code)
+                hit = above[:, q]
+                claim = hit.view(np.uint8)
+            for k in range(2, 8):
+                if record:
+                    # codes only grow, so a block that view k claims takes code k by a maximum, without a branch
+                    np.greater(views[k], pooled, out=hit)
+                    np.multiply(claim, k, out=claim)
+                    np.maximum(code, claim, out=code)
+                np.maximum(pooled, views[k], out=pooled)
+            # the bias goes on after the max, on an eighth of the values
+            np.add(pooled, b, out=pooled)
+            np.maximum(pooled, 0.0, out=pooled)
+
+    _map_tasks(sample, B, O * C * 27 * D * H * W, _MIN_MACS)
+    return out, first
+
+
+def conv_block_backward(x, w, out, first, gout, need_gx: bool = True):
+    """Gradients of :func:`conv_block_forward` w.r.t. input, weights, and bias.
+
+    ``out`` and ``first`` are what the forward returned with ``record``.
+    Each pooled gradient where ``out > 0`` goes to its block's first
+    maximum; every other conv output, the dropped odd trailing depth, row
+    and column included, gets zero gradient.  Pass ``need_gx=False`` to skip
+    the input gradient; it is then returned as ``None``.
+    """
+    B, C, D, H, W = x.shape
+    O = w.shape[0]
+    H2, W2 = H // 2 * 2, W // 2 * 2
+    dtype = np.result_type(x, w, gout)
+    w2t = w.reshape(O, C * 27).astype(dtype, copy=False).T
+    gx = np.empty(x.shape, dtype=dtype) if need_gx else None
+
+    def sample(s):
+        gb = np.zeros(O, dtype=gout.dtype)
+
+        def fill(gext, z0, n):
+            q = slice(z0 // 2, (z0 + n) // 2)
+            # np.where, not a product: an inactive output passes +0, whatever its gradient
+            live = np.where(out[s, :, q] > 0, gout[s, :, q], 0)
+            np.add(gb, live.sum(axis=(1, 2, 3)), out=gb)
+            code = first[s, :, q]
+            for k, (a, c, e) in enumerate(_OFFSETS):
+                gext[:, a::2, c:H2:2, e:W2:2] = np.where(code == k, live, 0)
+
+        gwt, gxs = _sample_gradients(x[s], w2t, fill, need_gx, dtype, even=True)
+        if need_gx:
+            gx[s] = gxs
+        return gwt, gb
+
+    parts = _map_tasks(sample, B, O * C * 27 * D * H * W, _MIN_MACS)
+    gwt = _sum_in_order([p[0] for p in parts])
+    return gx, gwt.T.reshape(w.shape), _sum_in_order([p[1] for p in parts])
 
 
 def _views(x):

@@ -3,9 +3,12 @@
 A :class:`Tensor` pairs a value array with a lazily allocated accumulated
 gradient.  Operations record a tape; ``Tensor.backward()`` walks it once in
 reverse topological order and then frees it, so a second backward call (or a
-backward without a preceding forward) raises.  The op set is exactly what the
+backward without a preceding forward) raises.  The op set is what the
 regression network and its loss need: broadcasting arithmetic, reductions,
-indexing, matmul, ReLU, 3x3x3 convolution, and 2x2x2 max pooling.
+indexing, matmul, ReLU, and the conv block, each block of the network as one
+op (:func:`conv_block`: 3x3x3 convolution, 2x2x2 max pooling, then ReLU).
+The convolution and the pooling are also ops of their own, :func:`conv3d`
+and :func:`maxpool3d`: the reference the fused block is tested against.
 """
 
 from __future__ import annotations
@@ -299,13 +302,17 @@ def matmul(a, b) -> Tensor:
 # -- network primitives -------------------------------------------------------
 
 
-def conv3d(x, w, bias) -> Tensor:
-    """3x3x3 convolution, stride 1, zero padding 1, over ``(B, C, D, H, W)``."""
-    x, w, bias = as_tensor(x), as_tensor(w), as_tensor(bias)
+def _check_conv(x, w) -> None:
     if x.data.ndim != 5:
         raise ValueError(f"conv3d input must be (B, C, D, H, W), got {x.shape}")
     if w.data.ndim != 5 or w.shape[2:] != (3, 3, 3) or w.shape[1] != x.shape[1]:
         raise ValueError(f"conv3d weights {w.shape} incompatible with input {x.shape}")
+
+
+def conv3d(x, w, bias) -> Tensor:
+    """3x3x3 convolution, stride 1, zero padding 1, over ``(B, C, D, H, W)``."""
+    x, w, bias = as_tensor(x), as_tensor(w), as_tensor(bias)
+    _check_conv(x, w)
 
     def vjp(g):
         gx, gw, gb = _kernels.conv3d_backward(x.data, w.data, g, need_gx=x.requires_grad)
@@ -319,3 +326,22 @@ def maxpool3d(x) -> Tensor:
     x = as_tensor(x)
     out = _kernels.maxpool3d_forward(x.data)
     return _make(out, (x,), lambda g: (_kernels.maxpool3d_backward(x.data, out, g),))
+
+
+def conv_block(x, w, bias) -> Tensor:
+    """One conv block, ``relu(maxpool3d(conv3d(x, w, bias)))``, as one op.
+
+    The full-resolution conv output and its gradient are never held: the
+    kernels pool each slab of it as it is computed, and the tape keeps only
+    the pooled output and, per pooled value, the offset of its block's first
+    maximum.  The forward output is bitwise that of the three ops.
+    """
+    x, w, bias = as_tensor(x), as_tensor(w), as_tensor(bias)
+    _check_conv(x, w)
+    record = _GRAD_ENABLED and any(p.requires_grad for p in (x, w, bias))
+    out, first = _kernels.conv_block_forward(x.data, w.data, bias.data, record)
+
+    def vjp(g):
+        return _kernels.conv_block_backward(x.data, w.data, out, first, g, need_gx=x.requires_grad)
+
+    return _make(out, (x, w, bias), vjp)

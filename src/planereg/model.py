@@ -7,7 +7,9 @@ encodings are free to leave [-1, 1].  Each block is a 3x3x3 convolution
 without NaN this is bitwise equal to ReLU before pooling, gradients and
 signed zeros included (ReLU is monotone, and both orders send a block's
 gradient to its first maximum or nowhere), and the ReLU runs on an eighth of
-the values.  There is no dropout and no
+the values.  Each block is one engine op, :func:`engine.conv_block`, which
+never holds the block's full-resolution conv output or its gradient; its
+output is bitwise that of the three ops.  There is no dropout and no
 batch statistics anywhere, so single-sample and batched forward passes agree
 to float32 rounding.  The conv blocks compute each sample on its own and give
 bitwise-identical rows for any batch size; only the FC matmuls may sum in a
@@ -100,11 +102,26 @@ class NetworkConfig:
         return cls(**d)
 
 
+_INIT_CHUNK = 1 << 15  # values per float64 draw of he_init
+
+
 def he_init(shape, fan_in: int, rng: np.random.Generator, dtype=np.float32) -> np.ndarray:
-    """Normal(0, sqrt(2 / fan_in)) weights for ReLU layers."""
+    """Normal(0, sqrt(2 / fan_in)) weights for ReLU layers.
+
+    The values are drawn in chunks of ``_INIT_CHUNK`` straight into the
+    result, so no float64 array of the whole shape is made.  ``rng`` draws
+    the same stream either way, so the weights, and the generator's state
+    after them, are bitwise those of one ``rng.normal(...).astype(dtype)``.
+    """
     if fan_in <= 0:
         raise ValueError("fan_in must be positive")
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype)
+    scale = np.sqrt(2.0 / fan_in)
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for i in range(0, flat.size, _INIT_CHUNK):
+        chunk = flat[i : i + _INIT_CHUNK]
+        chunk[...] = rng.normal(0.0, scale, size=chunk.size)
+    return out
 
 
 class _Conv3d:
@@ -115,9 +132,6 @@ class _Conv3d:
             w = he_init((c_out, c_in, 3, 3, 3), c_in * 27, rng, dtype)
         self.weight = Tensor(w, requires_grad=True)
         self.bias = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
-
-    def __call__(self, x):
-        return engine.conv3d(x, self.weight, self.bias)
 
 
 class _Linear:
@@ -177,7 +191,7 @@ class PlaneRegressionNet:
         """Run the network; returns the ``(B, n_out)`` output tensor."""
         t = Tensor(self._canonical_input(x))
         for conv in self.convs:
-            t = engine.relu(engine.maxpool3d(conv(t)))
+            t = engine.conv_block(t, conv.weight, conv.bias)
         t = engine.reshape(t, (t.shape[0], -1))
         for fc in self.fcs[:-1]:
             t = engine.relu(fc(t))
@@ -258,14 +272,18 @@ def save_checkpoint(path, net: PlaneRegressionNet, extra: dict | None = None) ->
             fh.write(nb)
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+            fh.write(memoryview(arr).cast("B"))
 
 
-def _read_exact(fh, n: int, path) -> bytes:
+def _check_remaining(fh, n: int, path) -> None:
     # checked against the file size before reading, so a corrupt length field
     # cannot ask for a huge buffer
     if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError(f"{path}: truncated checkpoint")
+
+
+def _read_exact(fh, n: int, path) -> bytes:
+    _check_remaining(fh, n, path)
     return fh.read(n)
 
 
@@ -301,8 +319,10 @@ def load_checkpoint(path) -> tuple[PlaneRegressionNet, dict]:
                 raise ValueError(f"{path}: unknown parameter {name!r}")
             if expected[name].data.shape != shape:
                 raise ValueError(f"{path}: shape mismatch for {name!r}")
-            data = np.frombuffer(_read_exact(fh, 4 * int(np.prod(shape)), path), dtype="<f4").reshape(shape)
-            expected[name].data = data.astype(net.dtype).copy()
+            # read straight into the new net's float32 array, which is "<f4" on a little-endian host
+            target = memoryview(expected[name].data).cast("B")
+            _check_remaining(fh, target.nbytes, path)
+            fh.readinto(target)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last parameter")
     return net, meta.get("extra", {})

@@ -1,4 +1,4 @@
-"""The conv and pool kernels against direct loop references, inline and pooled."""
+"""The conv, pool and fused conv-block kernels against direct loop references, inline and pooled."""
 
 import itertools
 import threading
@@ -58,6 +58,31 @@ def _first_max_pool(x, gout):
         out[b, c, d, h, w] = best
         gx[(b, c) + first] = gout[b, c, d, h, w]
     return out, gx
+
+
+def _three_ops(x, w, bias, gout, need_gx=True):
+    """A conv block as the conv, pool and ReLU kernels: its output and its input, weight and bias gradients."""
+    conv = _kernels.conv3d_forward(x, w, bias)
+    pooled = _kernels.maxpool3d_forward(conv)
+    gconv = _kernels.maxpool3d_backward(conv, pooled, np.where(pooled > 0, gout, 0))
+    return (np.maximum(pooled, 0.0), *_kernels.conv3d_backward(x, w, gconv, need_gx))
+
+
+def _fused(x, w, bias, gout, need_gx=True):
+    """The same block as the fused kernels: its output and its input, weight and bias gradients."""
+    out, first = _kernels.conv_block_forward(x, w, bias, record=True)
+    return (out, *_kernels.conv_block_backward(x, w, out, first, gout, need_gx))
+
+
+def _assert_block_matches(got, ref, tol):
+    """Bitwise the same output; each gradient within ``tol`` (the weight gradient sums in another order)."""
+    assert got[0].dtype == ref[0].dtype and got[0].tobytes() == ref[0].tobytes()
+    for g, r in zip(got[1:], ref[1:]):
+        if r is None:
+            assert g is None
+        else:
+            assert g.dtype == r.dtype and g.shape == r.shape
+            np.testing.assert_allclose(g, r, rtol=tol, atol=tol)
 
 
 def force_dispatch(monkeypatch, pooled):
@@ -137,32 +162,34 @@ class TestConvPooled(TestConv):
 class TestSlabs(Inline):
     """Odd shapes split into several slabs of output depths, with a shorter tail.
 
-    ``_SLAB`` is set so that ``_plane_slabs``, which both passes draw their
-    slabs from, gives slabs of ``DEPTH`` depths.
+    ``_SLAB`` is set so that ``_plane_slabs``, which every pass draws its
+    slabs from, gives slabs of ``DEPTH`` depths.  A fused block's slabs
+    cover the 6 depths it pools, ``DEPTH`` rounded down to even, at least 2.
+    ``SLABS`` maps ``even`` to the ``(z0, n)`` schedule every sample must draw.
     """
 
     SHAPE = (2, 3, 7, 14, 16)  # D = 7: slabs of 3, 3 and 1 depths when DEPTH = 3; H != W
     DEPTH = 3
+    SLABS = {False: [(0, 3), (3, 3), (6, 1)], True: [(0, 2), (2, 2), (4, 2)]}
 
     @pytest.fixture(autouse=True)
     def slabs_of_depth(self, monkeypatch, dispatch):
-        _, C, D, H, W = self.SHAPE
+        _, C, _, H, W = self.SHAPE
         monkeypatch.setattr(_kernels, "_SLAB", self.DEPTH * C * 27 * (H + 2) * (W + 2))
         drawn = []  # per sample: its slabs, and whether it ran on the calling thread
         builder = _kernels._plane_slabs
 
-        def slabs_of(xs, dtype):
+        def slabs_of(xs, dtype, even=False):
             slabs = []
-            drawn.append((slabs, threading.current_thread() is threading.main_thread()))
-            for z0, n, cols in builder(xs, dtype):
+            drawn.append((slabs, even, threading.current_thread() is threading.main_thread()))
+            for z0, n, cols in builder(xs, dtype, even):
                 slabs.append((z0, n))
                 yield z0, n, cols
 
         monkeypatch.setattr(_kernels, "_plane_slabs", slabs_of)
         yield
-        schedule = [(z0, min(self.DEPTH, D - z0)) for z0 in range(0, D, self.DEPTH)]
-        assert drawn and all(slabs == schedule for slabs, _ in drawn)
-        on_caller = [inline for _, inline in drawn]
+        assert drawn and all(slabs == self.SLABS[even] for slabs, even, _ in drawn)
+        on_caller = [inline for _, _, inline in drawn]
         # pooled, only single-sample calls stay on the calling thread
         assert not all(on_caller) if self.POOLED else all(on_caller)
 
@@ -217,16 +244,112 @@ class TestSlabs(Inline):
             assert _kernels.conv3d_forward(x[one], w, bias).tobytes() == out[one].tobytes()
             assert _kernels.conv3d_backward(x[one], w, gout[one])[0].tobytes() == gx[one].tobytes()
 
+    def _block_operands(self, seed, B=None, dtype=np.float64):
+        x, w, _ = self._operands(seed, B, dtype)
+        rng = np.random.default_rng(seed + 100)
+        bias = rng.standard_normal(4).astype(dtype)
+        gout = rng.standard_normal(x.shape[:1] + (4,) + tuple(n // 2 for n in x.shape[2:])).astype(dtype)
+        return x, w, bias, gout
+
+    @pytest.mark.parametrize("need_gx", [True, False], ids=["gx", "no-gx"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    def test_block_matches_three_ops(self, dtype, need_gx):
+        ops = self._block_operands(57, dtype=dtype)
+        _assert_block_matches(_fused(*ops, need_gx), _three_ops(*ops, need_gx), 1e-12 if dtype == np.float64 else 1e-5)
+
+    def test_block_batch_rows_bitwise_equal_single_samples(self):
+        x, w, bias, gout = self._block_operands(58, B=3, dtype=np.float32)
+        out, gx = _fused(x, w, bias, gout)[:2]
+        for s in range(3):
+            one = slice(s, s + 1)
+            single_out, single_gx = _fused(x[one], w, bias, gout[one])[:2]
+            assert single_out.tobytes() == out[one].tobytes()
+            assert single_gx.tobytes() == gx[one].tobytes()
+
 
 class TestSlabsPooled(TestSlabs):
     POOLED = True
 
 
 class TestOneDepthSlabs(TestSlabs):
+    """One depth per conv slab; a fused block's slabs still hold two."""
+
     DEPTH = 1
+    SLABS = {False: [(z, 1) for z in range(7)], True: [(0, 2), (2, 2), (4, 2)]}
 
 
 class TestOneDepthSlabsPooled(TestOneDepthSlabs):
+    POOLED = True
+
+
+class TestFourDepthSlabs(TestSlabs):
+    """Slabs of four depths: the 6 depths a fused block pools are not a multiple of them."""
+
+    DEPTH = 4
+    SLABS = {False: [(0, 4), (4, 3)], True: [(0, 4), (4, 2)]}
+
+
+class TestFourDepthSlabsPooled(TestFourDepthSlabs):
+    POOLED = True
+
+
+def _identity_weights(C):
+    """Weights whose convolution returns its input exactly: 1 at each channel's centre tap."""
+    w = np.zeros((C, C, 3, 3, 3))
+    w[np.arange(C), np.arange(C), 1, 1, 1] = 1.0
+    return w
+
+
+class TestBlock(Inline):
+    """The fused conv block against the three kernels it replaces, at the default slab size."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("shape", [(2, 3, 9, 9, 9), (2, 2, 6, 5, 8)], ids=["odd-sides", "h-ne-w"])
+    def test_matches_three_ops(self, shape, dtype):
+        rng = np.random.default_rng(70)
+        x = rng.standard_normal(shape).astype(dtype)
+        w = rng.standard_normal((5, shape[1], 3, 3, 3)).astype(dtype)
+        bias = rng.standard_normal(5).astype(dtype)
+        gout = rng.standard_normal((shape[0], 5) + tuple(n // 2 for n in shape[2:])).astype(dtype)
+        for need_gx in (True, False):
+            got = _fused(x, w, bias, gout, need_gx)
+            assert got[0].shape == gout.shape  # 9^3 pools to 4^3
+            _assert_block_matches(got, _three_ops(x, w, bias, gout, need_gx), 1e-12 if dtype == np.float64 else 1e-5)
+
+    def test_identity_conv_routes_to_first_maximum(self):
+        # an identity convolution leaves the pooling: every tie must go to the block's first voxel
+        rng = np.random.default_rng(71)
+        x = rng.integers(-2, 3, (2, 3, 6, 4, 5)).astype(np.float64)  # ties everywhere; W = 5 drops a column
+        x[0, 0, :2, :2, :2] = 0.5  # an all-equal block
+        x[0, 1, :2, :2, :2] = -1.0
+        x[0, 1, 1, 0, 0] = x[0, 1, 0, 1, 1] = 2.0  # a tie at the maximum, away from the first voxel
+        gout = rng.standard_normal((2, 3, 3, 2, 2))
+        out, gx = _fused(x, _identity_weights(3), np.zeros(3), gout)[:2]
+        pooled = _first_max_pool(x, gout)[0]
+        routed = _first_max_pool(x, np.where(pooled > 0, gout, 0.0))[1]
+        assert np.array_equal(out, np.maximum(pooled, 0.0))
+        assert np.array_equal(gx, routed)
+        assert gx[0, 0, 0, 0, 0] == gout[0, 0, 0, 0, 0] and np.count_nonzero(gx[0, 0, :2, :2, :2]) == 1
+        assert gx[0, 1, 0, 1, 1] == gout[0, 1, 0, 0, 0] and gx[0, 1, 1, 0, 0] == 0.0
+        assert not np.any(gx[..., 4])
+
+    def test_recorded_code_leaves_forward_unchanged_and_nan_block_routes_nothing(self):
+        rng = np.random.default_rng(72)
+        x = rng.standard_normal((2, 1, 4, 6, 6))
+        x[0, 0, 0, 0, 0] = np.nan  # through the zero taps, NaN fills exactly the first block's conv outputs
+        w, bias = _identity_weights(1), np.full(1, 0.25)
+        out, first = _kernels.conv_block_forward(x, w, bias, record=True)
+        plain, none = _kernels.conv_block_forward(x, w, bias)
+        ref = _three_ops(x, w, bias, np.ones(out.shape))
+        assert none is None and first.dtype == np.uint8
+        assert np.isnan(out[0, 0, 0, 0, 0]) and np.count_nonzero(np.isnan(out)) == 1
+        assert out.tobytes() == plain.tobytes() == ref[0].tobytes()
+        gx = _kernels.conv_block_backward(x, w, out, first, np.ones(out.shape))[0]
+        assert not np.any(gx[0, 0, :2, :2, :2])
+        assert np.array_equal(gx, ref[1])
+
+
+class TestBlockPooled(TestBlock):
     POOLED = True
 
 
@@ -293,7 +416,10 @@ class _Dispatched(Exception):
 
 
 def where_conv_runs(monkeypatch, B, C, O, side):
-    """Where a conv block's forward and backward tasks run at batch ``B``: "pool" or "inline" each.
+    """Where a conv block's tasks run at batch ``B``: "pool" or "inline" for each of its four calls.
+
+    The calls are the conv's forward and backward and the fused block's
+    forward and backward.
 
     A recording stub runs no-op tasks through the real ``_map_tasks`` with
     the call's arguments, then stops the kernel, so no conv is computed.
@@ -314,6 +440,11 @@ def where_conv_runs(monkeypatch, B, C, O, side):
         _kernels.conv3d_forward(x, w, np.zeros(O, dtype=np.float32))
     with pytest.raises(_Dispatched):
         _kernels.conv3d_backward(x, w, gout, need_gx=C > 1)
+    pooled = np.broadcast_to(np.float32(1), (B, O) + (side // 2,) * 3)
+    with pytest.raises(_Dispatched):
+        _kernels.conv_block_forward(x, w, np.zeros(O, dtype=np.float32), record=True)
+    with pytest.raises(_Dispatched):
+        _kernels.conv_block_backward(x, w, pooled, pooled.astype(np.uint8), pooled, need_gx=C > 1)
     return places
 
 
@@ -327,12 +458,16 @@ class TestDispatch:
         bias = rng.standard_normal(8).astype(np.float32)
         gout = rng.standard_normal((3, 8, 12, 10, 9)).astype(np.float32)
         gpool = rng.standard_normal((3, 4, 6, 5, 4)).astype(np.float32)
+        gblock = rng.standard_normal((3, 8, 6, 5, 4)).astype(np.float32)
 
         def run():
             out = _kernels.conv3d_forward(x, w, bias)
             pooled = _kernels.maxpool3d_forward(x)
+            block, first = _kernels.conv_block_forward(x, w, bias, record=True)
             return (out, *_kernels.conv3d_backward(x, w, gout), _kernels.conv3d_backward(x, w, gout, need_gx=False)[1],
-                    pooled, _kernels.maxpool3d_backward(x, pooled, gpool))
+                    pooled, _kernels.maxpool3d_backward(x, pooled, gpool),
+                    block, first, *_kernels.conv_block_backward(x, w, block, first, gblock),
+                    _kernels.conv_block_backward(x, w, block, first, gblock, need_gx=False)[1])
 
         force_dispatch(monkeypatch, pooled=False)
         inline = run()
@@ -370,16 +505,16 @@ class TestDispatch:
 
     @pytest.mark.parametrize("block", range(len(TRAIN_PAPER_BLOCKS)))
     def test_train_paper_blocks_pool(self, monkeypatch, block):
-        assert where_conv_runs(monkeypatch, 8, *TRAIN_PAPER_BLOCKS[block]) == ["pool", "pool"]
+        assert where_conv_runs(monkeypatch, 8, *TRAIN_PAPER_BLOCKS[block]) == ["pool"] * 4
 
     @pytest.mark.parametrize("block", range(len(XVAL_CALCANEUS_BLOCKS)))
     def test_xval_calcaneus_blocks_run_inline(self, monkeypatch, block):
-        assert where_conv_runs(monkeypatch, 4, *XVAL_CALCANEUS_BLOCKS[block]) == ["inline", "inline"]
+        assert where_conv_runs(monkeypatch, 4, *XVAL_CALCANEUS_BLOCKS[block]) == ["inline"] * 4
 
     @pytest.mark.parametrize("blocks", [TRAIN_PAPER_BLOCKS, XVAL_CALCANEUS_BLOCKS], ids=["train-paper", "xval-calcaneus"])
     def test_single_samples_run_inline(self, monkeypatch, blocks):
         for block in blocks:
-            assert where_conv_runs(monkeypatch, 1, *block) == ["inline", "inline"]
+            assert where_conv_runs(monkeypatch, 1, *block) == ["inline"] * 4
 
     def test_results_come_in_index_order(self):
         assert _kernels._map_tasks(lambda i: i * i, 16, _kernels._MIN_TASK, _kernels._MIN_TASK) == [i * i for i in range(16)]

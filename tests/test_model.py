@@ -3,6 +3,7 @@ import os
 import re
 import struct
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -63,6 +64,14 @@ class TestHeInit:
         with pytest.raises(ValueError):
             he_init((4,), 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("shape", [(5,), (32768,), (70000,), (128, 64, 3, 3, 3)])
+    def test_chunked_draw_equals_one_shot_draw(self, shape):
+        chunked, one_shot = np.random.default_rng(8), np.random.default_rng(8)
+        w = he_init(shape, 27, chunked)
+        assert w.dtype == np.float32 and w.shape == shape
+        assert w.tobytes() == one_shot.normal(0.0, np.sqrt(2.0 / 27), size=shape).astype(np.float32).tobytes()
+        assert chunked.bit_generator.state == one_shot.bit_generator.state
+
     def test_network_biases_zero(self):
         net = _tiny_net()
         for name, p in net.named_parameters():
@@ -108,7 +117,7 @@ class TestForward:
         # find a penultimate feature that is active for this input
         t = Tensor(net._canonical_input(x))
         for conv in net.convs:
-            t = engine.maxpool3d(engine.relu(conv(t)))
+            t = engine.conv_block(t, conv.weight, conv.bias)
         t = engine.reshape(t, (1, -1))
         for fc in net.fcs[:-1]:
             t = engine.relu(fc(t))
@@ -211,7 +220,66 @@ class TestBackward:
                 assert np.allclose(2.0 * p.grad, g2[n], rtol=1e-10, atol=1e-12)
 
 
+class TestMemory:
+    def test_train_step_traced_peak_below_8mib(self):
+        # the cross-validation benchmark's network; the three-op blocks held each conv output and its gradient (11.4 MiB)
+        cfg = NetworkConfig(RotationKind.QUATERNION, 3, True, in_dims=32, channels=(4, 8, 16), fc_widths=(64, 32))
+        net = PlaneRegressionNet(cfg, rng=np.random.default_rng(15))
+        opt = SGDMomentum(net, lr=0.01)
+        rng = np.random.default_rng(16)
+        x = rng.uniform(0, 1, (4, 32, 32, 32)).astype(np.float32)
+        target = rng.uniform(-0.7, 0.7, (4, cfg.n_out)).astype(np.float32)
+
+        def step():
+            loss_graph(net.forward(x), target, LossWeights(0.4, 0.4, 0.2), RotationKind.QUATERNION, 3).backward()
+            opt.step()
+            opt.zero_grad()
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+
 class TestEngineOps:
+    def test_conv_block_is_the_three_ops_and_records_only_on_the_tape(self, monkeypatch):
+        from planereg import _kernels
+
+        recorded = []
+        forward = _kernels.conv_block_forward
+
+        def spy(x, w, bias, record=False):
+            recorded.append(record)
+            return forward(x, w, bias, record)
+
+        monkeypatch.setattr(_kernels, "conv_block_forward", spy)
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((2, 3, 6, 5, 7)).astype(np.float32)
+        w = rng.standard_normal((4, 3, 3, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
+        g = rng.standard_normal((2, 4, 3, 2, 3)).astype(np.float32)
+
+        def run(block):
+            ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+            out = block(*ts)
+            engine.tsum(engine.mul(out, g)).backward()
+            return [out.data] + [t.grad for t in ts]
+
+        fused = run(engine.conv_block)
+        three = run(lambda *ts: engine.relu(engine.maxpool3d(engine.conv3d(*ts))))
+        assert fused[0].tobytes() == three[0].tobytes()
+        for a, c in zip(fused[1:], three[1:]):
+            assert a.dtype == c.dtype and a.shape == c.shape
+            np.testing.assert_allclose(a, c, rtol=1e-5, atol=1e-5)
+        with engine.no_grad():
+            assert engine.conv_block(*(Tensor(a, requires_grad=True) for a in (x, w, b))).data.tobytes() == fused[0].tobytes()
+        engine.conv_block(x, w, b)  # no input needs a gradient
+        assert recorded == [True, False, False]
+
     def test_broadcast_add_backward(self):
         a = Tensor(np.ones((3, 4)), requires_grad=True)
         b = Tensor(np.ones((1, 4)), requires_grad=True)
@@ -378,6 +446,21 @@ class TestCheckpoint:
         path.write_bytes(raw[:12] + struct.pack("<I", len(header)) + header + raw[16 + hlen :])
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: corrupt checkpoint header"):
             load_checkpoint(path)
+
+    def test_load_peak_is_the_parameters_plus_1mib(self, tmp_path):
+        # fc0 alone is 2 MiB: a parameter read into a buffer, converted and copied would hold it three times
+        cfg = NetworkConfig(RotationKind.SIXD, 1, False, in_dims=32, channels=(4, 8, 16), fc_widths=(512,))
+        net = PlaneRegressionNet(cfg, rng=np.random.default_rng(13))
+        save_checkpoint(tmp_path / "ck.bin", net)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_checkpoint(tmp_path / "ck.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(p.data.nbytes for p in net.parameters()) + 2**20
+        for p, q in zip(net.parameters(), loaded.parameters()):
+            assert p.data.tobytes() == q.data.tobytes()
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "ck.bin"
