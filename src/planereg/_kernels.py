@@ -1,23 +1,44 @@
 """Numpy kernels for the 3x3x3 convolution, 2x2x2 max pooling, and the fused conv block.
 
-Every kernel splits its batch into one task per sample and hands the tasks
-to :func:`_map_tasks`.  That runs them on one lazily built thread pool with
-a worker per CPU this process may use (``os.sched_getaffinity``).  Workers
-take tasks from a queue, so a core that stalls delays only the sample it
+Every kernel splits its batch into tasks and hands them to
+:func:`_map_tasks`, which runs them on one lazily built thread pool with a
+worker per CPU this process may use (``os.sched_getaffinity``).  Workers
+take tasks from a queue, so a core that stalls delays only the task it
 holds; a static split would make every call wait for it.  A call runs its
-tasks inline, on the calling thread, when it has one task (B=1 inference)
-or when its tasks are small.  A conv task is small below ``_MIN_MACS``
-(2^23) multiply-adds, ``O*C*27*D*H*W``; a pooling task, or a batch row
-that ``harness.train`` fills, below ``_MIN_TASK`` elements in its largest
-array.  A fused block's task counts as its conv's.  Counting multiply-adds,
-every conv block of the benchmark's 72^3 network (channels 8-128) pools at
-B=8: its smallest task, the last block's (64 to 128 channels at 4^3), is
-14.2 M.  By the element rule alone, its last three blocks would run
-inline.  Every block of the 32^3 cross-validation network (channels 4/8/16)
-stays inline at B=4: its largest task is 3.5 M.
-Such tasks gain nothing from a second core: with every call pooled, that
-cross-validation was no faster (1064 and 953 ms, against 962 and 984 ms)
-and peaked at 59.3 and 60.6 MB, against 55.4 and 55.3 MB (seed 4, 2
+tasks inline, on the calling thread, when its tasks are small, when it has
+only one, when the process may use one CPU, or when it is made from inside
+a pooled task (say, a resample inside one of ``harness.train``'s pooled
+batch fills): a task that waited there on tasks queued behind it could
+stall every worker.  A conv task is small below ``_MIN_MACS`` (2^23)
+multiply-adds; a pooling task, or a batch row that ``harness.train`` fills,
+below ``_MIN_TASK`` elements in its largest array.  A fused block's task
+counts as its conv's.
+
+A conv or fused forward makes one task per sample, unless its batch has
+fewer samples than the pool has workers.  Then :func:`_split_parts` splits
+each sample's slabs (below) into contiguous ranges of output depths, as
+many as there are workers per sample, but no more than the sample has slabs
+at the full ``_SLAB``, and none below ``_MIN_MACS``.  Each range's column
+and product buffers are sized from ``_SLAB // parts``, so the call holds no
+more of them than one unsplit task, and a split sample's tasks read one
+padded input that the call builds before they start.  On 2 workers that
+splits the B=1 forwards of the benchmark's first three 72^3 blocks, whose
+sample holds 80.6 M multiply-adds in 9, 9 and 3 slabs; the last two blocks
+fit in one slab and stay inline (split in two anyway, the fourth block's
+B=1 forward took 1.21 against 0.91 ms).  Timed alone (one process, 2
+vCPUs, median of 40), the first three fused B=1 forwards took 5.46, 5.93
+and 2.88 ms split against 6.54, 6.74 and 2.97 ms inline: 1.03-1.20x, not
+2x, since the slabs stream their columns from memory.  A backward keeps one
+task per sample, so weight gradients still sum in sample order.
+
+Counting multiply-adds, every conv block of the benchmark's 72^3 network
+(channels 8-128) pools at B=8: its smallest task, the last block's (64 to
+128 channels at 4^3), is 14.2 M.  By the element rule alone, its last three
+blocks would run inline.  Every block of the 32^3 cross-validation network
+(channels 4/8/16) stays inline at B=4, and at B=1: its largest task is 3.5
+M.  Such tasks gain nothing from a second core: with every call pooled,
+that cross-validation was no faster (1064 and 953 ms, against 962 and 984
+ms) and peaked at 59.3 and 60.6 MB, against 55.4 and 55.3 MB (seed 4, 2
 vCPUs).  Each task runs in a copy of the caller's context, so the caller's
 ``np.errstate`` holds in the workers too.  A forked child builds a pool of
 its own on first use, since it inherits the parent's executor but none of
@@ -46,32 +67,36 @@ shifted ``(n, H, W)`` boxes instead moves rows of ``W`` elements.  A slab
 holds ``dz = _SLAB // (C*27*P)`` depths (at least one, at most ``D``), so
 the column buffer holds at most about 5 MB in float32 unless one depth
 alone needs more, and a slab is multiplied while its columns are still warm
-in cache.  Each task allocates its own padded input and one column buffer
-of that fixed size, which serves every slab of its sample, so two workers
-hold as much column memory as one 10 MB buffer; no call maps a whole
-sample's or batch's columns.  The grid costs ``P/(H*W)`` times the columns:
-1.11x at 36^2, 2.25x at 4^2.
+in cache.  Each task allocates one column buffer of that fixed size, which
+serves every slab of its range, so two workers hold as much column memory
+as one 10 MB buffer; no call maps a whole sample's or batch's columns.  The
+grid costs ``P/(H*W)`` times the columns: 1.11x at 36^2, 2.25x at 4^2.
 
 The forward pass multiplies ``w.reshape(O, C*27)`` by each slab's columns
-into an ``(O, n*P)`` buffer (:func:`_product_slabs`) and adds the bias as
-it copies the interior out.
-Each output element is the same dot product as on a grid without borders,
-and for the benchmark's five 72^3 blocks, at B=1 and B=8 in float32, the
-outputs are bitwise those of the box-copy lowering.  The backward pass
-(:func:`_sample_gradients`) puts the slab's ``gout`` into a zero-bordered
-``(O, n, H+2, W+2)`` buffer, ``gext``, and three steps share the column
-buffer: ``gw += cols @ gext.T``; ``cols = w2.T @ gext``; and 27 contiguous
-adds of ``cols`` into the task's flat padded gradient, whose interior is
-the sample's input gradient.  The border columns of ``gext`` are zero, so,
-for finite operands, they add nothing to either gradient.  Traced at 72^3
-and B=8 (seed 1, 2 vCPUs), the second block's backward took 131 ms on this
-grid, against 176 ms with box copies.  The call sums the tasks' weight
-gradients in sample order.
+into an ``(O, n*P)`` buffer (:func:`_map_forward`) and adds the bias as it
+copies the interior out.  Each output element is the same dot product as on
+a grid without borders, and for the benchmark's five 72^3 blocks, at B=1
+and B=8 in float32, the outputs are bitwise those of the box-copy lowering.
+The backward pass (:func:`_sample_gradients`) puts the slab's ``gout`` into
+a zero-bordered ``(O, n, H+2, W+2)`` buffer, ``gext``, and three steps
+share the column buffer: ``gw += cols @ gext.T``; ``cols = w2.T @ gext``;
+and 27 contiguous adds of ``cols`` into the task's flat padded gradient,
+whose interior is the sample's input gradient.  The border columns of
+``gext`` are zero, so, for finite operands, they add nothing to either
+gradient.  Traced at 72^3 and B=8 (seed 1, 2 vCPUs), the second block's
+backward took 131 ms on this grid, against 176 ms with box copies.  The
+call sums the tasks' weight gradients in sample order.
 
-The slab depths depend on ``C``, ``D``, ``H`` and ``W`` only, never on the
-batch size, and each sample's output and input gradient depend only on that
-sample.  So a sample's rows are summed in the same order, and come out
-bitwise identical, whatever the batch, and every result is bitwise the same
+Each output element of a forward is one dot product of length ``C*27``.
+The split changes the slab depths, and so how many columns each product
+multiplies, but in the OpenBLAS that numpy ships not the order of that dot
+product: for the benchmark's five 72^3 blocks, plain and fused, with the
+first-maximum record on and off, a split B=1 forward is bitwise row 0 of a
+B=2 call on 1, 2 and 3 workers, and the B=1 and B=8 outputs are bitwise
+those before the split.  A backward's slab depths depend on ``C``, ``D``,
+``H`` and ``W`` only, never on the batch size.  Each sample's output and
+input gradient depend only on that sample.  So a sample's rows come out
+bitwise identical whatever the batch, and every result is bitwise the same
 inline or pooled, whatever the worker count or the order the tasks ran in.
 
 Max pooling folds the eight stride-2 views of each sample, in ``(a, b, c)``
@@ -84,7 +109,7 @@ deterministic.
 The network runs each conv block, ``relu(maxpool3d(conv3d(x)))``, as one
 fused op, and never allocates the conv output or its gradient (Alwani et
 al., 2016, "Fused-Layer CNN Accelerators").  :func:`conv_block_forward`
-draws its slabs from the same loop as the plain forward, with ``even``: the
+draws its slabs from the same tasks as the plain forward, with ``even``: the
 slabs cover the ``D // 2 * 2`` depths that the pooling reads, and each holds
 an even number of them, ``dz`` rounded down to even and at least 2, since
 depths pool in pairs.  Each slab's product, while it is still in cache, is
@@ -159,6 +184,7 @@ _M_ARENA_MAX = -8  # glibc's mallopt parameter number
 _pool = None
 _pool_pid = None
 _pool_lock = threading.Lock()
+_in_task = contextvars.ContextVar("planereg_in_task", default=False)  # set in every pooled task's context
 
 
 def _pin_openblas_to_one_thread() -> bool:
@@ -195,6 +221,11 @@ def _share_malloc_arena() -> None:
         mallopt(_M_ARENA_MAX, 1)
 
 
+def _worker_count() -> int:
+    """The number of CPUs this process may use, and so of the pool's workers."""
+    return len(os.sched_getaffinity(0))
+
+
 def _executor() -> ThreadPoolExecutor:
     """This process's pool, built on first use and again in a forked child."""
     global _pool, _pool_pid
@@ -202,26 +233,45 @@ def _executor() -> ThreadPoolExecutor:
         # a forked child inherits the executor but none of its threads
         if _pool is None or _pool_pid != os.getpid():
             _share_malloc_arena()
-            _pool = ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0)), thread_name_prefix="planereg")
+            _pool = ThreadPoolExecutor(max_workers=_worker_count(), thread_name_prefix="planereg")
             _pool_pid = os.getpid()
         return _pool
 
 
 def _map_tasks(fn, n: int, size: int, min_size: int) -> list:
-    """``[fn(0), ..., fn(n - 1)]``, on the pool unless ``n == 1`` or ``size < min_size``.
+    """``[fn(0), ..., fn(n - 1)]``, inline if ``size < min_size``, else through :func:`_run_tasks`.
 
     ``size`` measures one task's work, in the unit of ``min_size``: a conv
     passes its multiply-adds and ``_MIN_MACS``, other callers the element
-    count of its largest array and ``_MIN_TASK``.  Each pooled task runs in
-    a copy of the caller's context, so it sees the caller's ``np.errstate``.
-    If tasks raise, the exception of the first of them in index order is
-    raised here.
+    count of its largest array and ``_MIN_TASK``.
     """
-    if n == 1 or size < min_size:
+    if size < min_size:
+        return [fn(i) for i in range(n)]
+    return _run_tasks(fn, n)
+
+
+def _run_tasks(fn, n: int) -> list:
+    """``[fn(0), ..., fn(n - 1)]``, on the pool unless they would gain nothing there.
+
+    The tasks run inline, on the calling thread, when there is only one of
+    them, when the process may use only one CPU, or when the caller is
+    itself a pooled task: waiting there on tasks queued behind it could
+    stall every worker.  Each pooled task runs in a copy of the caller's
+    context, so it sees the caller's ``np.errstate``.  If tasks raise, the
+    exception of the first of them in index order is raised here.
+    """
+    if n < 2 or _in_task.get() or _worker_count() < 2:
         return [fn(i) for i in range(n)]
     pool = _executor()
-    futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(n)]
+    futures = [pool.submit(_task_context().run, fn, i) for i in range(n)]
     return [f.result() for f in futures]
+
+
+def _task_context() -> contextvars.Context:
+    """A copy of the caller's context, marked as a pooled task's."""
+    ctx = contextvars.copy_context()
+    ctx.run(_in_task.set, True)
+    return ctx
 
 
 def _plane_offsets(H, W):
@@ -229,35 +279,48 @@ def _plane_offsets(H, W):
     return [(i * (H + 2) + j) * (W + 2) + k for i, j, k in _TAPS]
 
 
-def _plane_slabs(xs, dtype, even=False):
-    """Yield ``(z0, n, cols)`` for each slab of output depths of ``xs``, on the padded-plane grid.
+def _slab_depth(shape, even, budget):
+    """``(depths, dz)`` for one ``(C, D, H, W)`` sample and a column buffer of ``budget`` elements.
 
-    ``xs`` is one ``(C, D, H, W)`` sample.  It is zero-padded to ``(C, D+3,
-    H+2, W+2)`` and flattened per channel.  ``cols`` is the ``(C*27, n*P)``
-    column matrix, ``P = (H+2)*(W+2)``, of the ``n`` depths from ``z0`` on,
-    with one column per point of their padded planes: output ``(z, y, x)`` is
-    column ``(z - z0)*P + y*(W+2) + x``.  Row ``c*27 + t`` is one contiguous
-    run of channel ``c``, from tap ``t``'s flat offset on.  The columns of
-    the border (``y >= H`` or ``x >= W``) belong to no output.  Every matrix
-    is a view of one buffer that serves every slab of the sample, so it is
-    valid, and may be overwritten, only until the next one is drawn.
-
-    With ``even``, the slabs cover the ``D // 2 * 2`` depths that a 2x2x2
-    pooling reads, and each holds an even number of them, at least two.
+    The slabs cover ``depths`` output depths, ``dz`` at a time and fewer in
+    the last.  With ``even``, they cover the ``D // 2 * 2`` depths that a
+    2x2x2 pooling reads, and ``dz`` is even, at least two.
     """
-    C, D, H, W = xs.shape
-    P = (H + 2) * (W + 2)
+    C, D, H, W = shape
     depths = D // 2 * 2 if even else D
-    dz = max(1, min(depths, _SLAB // (C * 27 * P)))
+    dz = max(1, min(depths, budget // (C * 27 * (H + 2) * (W + 2))))
     if even:
         dz = max(2, dz // 2 * 2)
+    return depths, dz
+
+
+def _padded(xs, dtype):
+    """One ``(C, D, H, W)`` sample zero-padded to ``(C, D+3, H+2, W+2)`` and flattened per channel."""
+    C, D, H, W = xs.shape
     xpad = np.zeros((C, D + 3, H + 2, W + 2), dtype=dtype)
     xpad[:, 1 : D + 1, 1:-1, 1:-1] = xs
-    flat = xpad.reshape(C, (D + 3) * P)
-    buf = np.empty(C * 27 * dz * P, dtype=dtype)
+    return xpad.reshape(C, -1)
+
+
+def _plane_slabs(flat, shape, dz, lo, hi):
+    """Yield ``(z0, n, cols)`` for each slab of ``dz`` output depths from ``lo`` to ``hi``, on the padded-plane grid.
+
+    ``flat`` is the :func:`_padded` form of one ``(C, D, H, W)`` sample of
+    ``shape``.  ``cols`` is the ``(C*27, n*P)`` column matrix, ``P =
+    (H+2)*(W+2)``, of the ``n`` depths from ``z0`` on, with one column per
+    point of their padded planes: output ``(z, y, x)`` is column ``(z -
+    z0)*P + y*(W+2) + x``.  Row ``c*27 + t`` is one contiguous run of
+    channel ``c``, from tap ``t``'s flat offset on.  The columns of the
+    border (``y >= H`` or ``x >= W``) belong to no output.  Every matrix is
+    a view of one buffer that serves every slab of the range, so it is
+    valid, and may be overwritten, only until the next one is drawn.
+    """
+    C, _, H, W = shape
+    P = (H + 2) * (W + 2)
+    buf = np.empty(C * 27 * min(dz, hi - lo) * P, dtype=flat.dtype)
     offsets = _plane_offsets(H, W)
-    for z0 in range(0, depths, dz):
-        n = min(dz, depths - z0)
+    for z0 in range(lo, hi, dz):
+        n = min(dz, hi - z0)
         cols = buf[: C * 27 * n * P].reshape(C, 27, n * P)
         for t, off in enumerate(offsets):
             start = z0 * P + off
@@ -265,44 +328,76 @@ def _plane_slabs(xs, dtype, even=False):
         yield z0, n, cols.reshape(C * 27, n * P)
 
 
-def _product_slabs(xs, w2, dtype, even=False):
-    """Yield ``(z0, n, prod)``: each slab of ``_plane_slabs(xs, dtype, even)`` multiplied by ``w2``.
+def _split_parts(B, shape, O, even):
+    """How many tasks each sample's forward slabs go to: one, unless the batch leaves workers idle.
+
+    With fewer samples than workers, a sample is split into as many
+    contiguous ranges of slabs as there are workers per sample, but no more
+    than it has slabs at the full ``_SLAB``, and none smaller than
+    ``_MIN_MACS`` multiply-adds.
+    """
+    C, D, H, W = shape
+    depths, dz = _slab_depth(shape, even, _SLAB)
+    parts = min(_worker_count() // max(B, 1), -(-depths // dz))
+    while parts > 1 and O * C * 27 * D * H * W < parts * _MIN_MACS:
+        parts -= 1
+    return max(parts, 1)
+
+
+def _map_forward(x, w2, dtype, even, consume):
+    """Call ``consume(s, z0, n, prod)`` for every slab of every sample of ``x``, in tasks.
 
     ``w2`` is the ``(O, C*27)`` weight matrix.  ``prod`` is the slab's
     ``(O, n, H+2, W+2)`` convolution without the bias, on its padded planes;
     its border rows and columns belong to no output.  It lives in one buffer
-    that serves every slab, so it is valid only until the next is drawn.
+    that serves every slab of its task, so it is valid only until the next
+    is drawn.  Each task covers one contiguous range of one sample's slabs:
+    the whole sample, or one of :func:`_split_parts`'s ranges, whose
+    buffers are sized from ``_SLAB // parts`` so that the call holds no more
+    column memory than one unsplit task.  A split sample's tasks read one
+    padded input, built before they start.
     """
-    _, _, H, W = xs.shape
+    B, C, D, H, W = x.shape
     O = w2.shape[0]
     P = (H + 2) * (W + 2)
-    ext = None
-    for z0, n, cols in _plane_slabs(xs, dtype, even):
-        if ext is None:  # the first slab is the deepest
-            ext = np.empty(O * n * P, dtype=dtype)
-        prod = ext[: O * n * P].reshape(O, n * P)
-        np.matmul(w2, cols, out=prod)
-        yield z0, n, prod.reshape(O, n, H + 2, W + 2)
+    parts = _split_parts(B, x.shape[1:], O, even)
+    depths, dz = _slab_depth(x.shape[1:], even, _SLAB // parts)
+    starts = range(0, depths, dz)
+    edges = [0] + [starts[k * len(starts) // parts] for k in range(1, parts)] + [depths]
+    flats = [_padded(x[s], dtype) for s in range(B)] if parts > 1 else None
+
+    def task(i):
+        s, k = divmod(i, parts)
+        flat = _padded(x[s], dtype) if flats is None else flats[s]
+        ext = np.empty(O * min(dz, edges[k + 1] - edges[k]) * P, dtype=dtype)
+        for z0, n, cols in _plane_slabs(flat, x.shape[1:], dz, edges[k], edges[k + 1]):
+            prod = ext[: O * n * P].reshape(O, n * P)
+            np.matmul(w2, cols, out=prod)
+            consume(s, z0, n, prod.reshape(O, n, H + 2, W + 2))
+
+    _map_tasks(task, B * parts, O * C * 27 * D * H * W // parts, _MIN_MACS)
 
 
 def _sample_gradients(xs, w2t, fill, need_gx, dtype, even=False):
     """One sample's convolution gradients, slab by slab: ``(gwt, gxs)``.
 
     ``w2t`` is the ``(C*27, O)`` transposed weight matrix.  For each slab of
-    ``_plane_slabs(xs, dtype, even)``, ``fill(gext, z0, n)`` writes the
-    gradient of the slab's conv outputs into ``gext[:, :, :H, :W]``, where
-    ``gext`` is the slab's ``(O, n, H+2, W+2)`` buffer; what it leaves
-    unwritten stays zero.  ``gwt`` is the ``(C*27, O)`` weight gradient and
-    ``gxs`` the ``(C, D, H, W)`` input gradient, or None without ``need_gx``.
+    ``xs``'s output depths at the full ``_SLAB``, ``fill(gext, z0, n)``
+    writes the gradient of the slab's conv outputs into ``gext[:, :, :H,
+    :W]``, where ``gext`` is the slab's ``(O, n, H+2, W+2)`` buffer; what it
+    leaves unwritten stays zero.  ``gwt`` is the ``(C*27, O)`` weight
+    gradient and ``gxs`` the ``(C, D, H, W)`` input gradient, or None
+    without ``need_gx``.
     """
     C, D, H, W = xs.shape
     O = w2t.shape[1]
     P = (H + 2) * (W + 2)
     offsets = _plane_offsets(H, W)
+    depths, dz = _slab_depth(xs.shape, even, _SLAB)
     gwt = np.zeros((C * 27, O), dtype=dtype)
     gflat = np.zeros((C, (D + 3) * P), dtype=dtype) if need_gx else None
     gext = None
-    for z0, n, cols in _plane_slabs(xs, dtype, even):
+    for z0, n, cols in _plane_slabs(_padded(xs, dtype), xs.shape, dz, 0, depths):
         if gext is None:  # the first slab is the deepest; its border stays zero
             gext = np.zeros((O, n, H + 2, W + 2), dtype=dtype)
         fill(gext[:, :n], z0, n)
@@ -344,12 +439,11 @@ def conv3d_forward(x, w, bias):
     b = bias.astype(dtype, copy=False)[:, None, None, None]
     out = np.empty((B, O, D, H, W), dtype=dtype)
 
-    def sample(s):
-        for z0, n, prod in _product_slabs(x[s], w2, dtype):
-            # the bias goes on as the slab's interior is copied out
-            np.add(prod[:, :, :H, :W], b, out=out[s, :, z0 : z0 + n])
+    def consume(s, z0, n, prod):
+        # the bias goes on as the slab's interior is copied out
+        np.add(prod[:, :, :H, :W], b, out=out[s, :, z0 : z0 + n])
 
-    _map_tasks(sample, B, O * C * 27 * D * H * W, _MIN_MACS)
+    _map_forward(x, w2, dtype, False, consume)
     return out
 
 
@@ -395,31 +489,29 @@ def conv_block_forward(x, w, bias, record: bool = False):
     out = np.empty((B, O, D // 2, H // 2, W // 2), dtype=dtype)
     first = np.empty(out.shape, dtype=np.uint8) if record else None
 
-    def sample(s):
-        above = np.empty(out.shape[1:], dtype=bool) if record else None
-        for z0, n, prod in _product_slabs(x[s], w2, dtype, even=True):
-            q = slice(z0 // 2, (z0 + n) // 2)
-            pooled = out[s, :, q]
-            views = [prod[:, a:n:2, c:H2:2, e:W2:2] for a, c, e in _OFFSETS]
-            np.maximum(views[0], views[1], out=pooled)
+    def consume(s, z0, n, prod):
+        q = slice(z0 // 2, (z0 + n) // 2)
+        pooled = out[s, :, q]
+        views = [prod[:, a:n:2, c:H2:2, e:W2:2] for a, c, e in _OFFSETS]
+        np.maximum(views[0], views[1], out=pooled)
+        if record:
+            # the first maximum of the raw sums: a later view claims a block only by exceeding it
+            code = first[s, :, q]
+            np.greater(views[1], views[0], out=code)
+            hit = np.empty(pooled.shape, dtype=bool)
+            claim = hit.view(np.uint8)
+        for k in range(2, 8):
             if record:
-                # the first maximum of the raw sums: a later view claims a block only by exceeding it
-                code = first[s, :, q]
-                np.greater(views[1], views[0], out=code)
-                hit = above[:, q]
-                claim = hit.view(np.uint8)
-            for k in range(2, 8):
-                if record:
-                    # codes only grow, so a block that view k claims takes code k by a maximum, without a branch
-                    np.greater(views[k], pooled, out=hit)
-                    np.multiply(claim, k, out=claim)
-                    np.maximum(code, claim, out=code)
-                np.maximum(pooled, views[k], out=pooled)
-            # the bias goes on after the max, on an eighth of the values
-            np.add(pooled, b, out=pooled)
-            np.maximum(pooled, 0.0, out=pooled)
+                # codes only grow, so a block that view k claims takes code k by a maximum, without a branch
+                np.greater(views[k], pooled, out=hit)
+                np.multiply(claim, k, out=claim)
+                np.maximum(code, claim, out=code)
+            np.maximum(pooled, views[k], out=pooled)
+        # the bias goes on after the max, on an eighth of the values
+        np.add(pooled, b, out=pooled)
+        np.maximum(pooled, 0.0, out=pooled)
 
-    _map_tasks(sample, B, O * C * 27 * D * H * W, _MIN_MACS)
+    _map_forward(x, w2, dtype, True, consume)
     return out, first
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _run_tasks
 from .geometry import GeometryError, PlaneFrame
 
 HU_MIN = -1024.0
@@ -39,10 +40,10 @@ def reset_interpolation_counter() -> None:
     _INTERP_CALLS = 0
 
 
-def _as_triple(x, dtype=float) -> tuple:
+def _as_triple(x) -> tuple:
     if np.isscalar(x):
-        return (dtype(x),) * 3
-    t = tuple(dtype(v) for v in x)
+        return (float(x),) * 3
+    t = tuple(float(v) for v in x)
     if len(t) != 3:
         raise ValueError(f"expected a scalar or 3 values, got {x!r}")
     return t
@@ -102,12 +103,13 @@ class WindowConfig:
             raise ValueError("gain must be positive")
 
 
-# points per interpolation chunk: each chunk's float64 temporaries (256 KB
-# each) stay in malloc's heap, where a whole grid's would be mapped and
-# faulted in afresh on every call.  Each numpy call on a chunk releases the
-# interpreter lock long enough for passes on two threads to overlap: eight
-# 72^3 resamples took 0.55x their one-thread time on two threads, where
-# 8192-point chunks took 1.1x
+# points per interpolation chunk, and so per pool task of a pass: each
+# chunk's float64 temporaries (256 KB each) stay in malloc's heap, where a
+# whole grid's would be mapped and faulted in afresh on every call.  A pass
+# of more than one chunk runs its chunks on the kernels' thread pool, and
+# each numpy call on a chunk releases the interpreter lock long enough for
+# two chunks to overlap: eight 72^3 resamples on two threads took 0.55x
+# their one-thread time, where 8192-point chunks took 1.1x
 _CHUNK = 32768
 
 
@@ -128,12 +130,20 @@ def trilinear_sample(vol: Volume, points: np.ndarray) -> np.ndarray:
         raise ValueError(f"points must have shape (..., 3), got {p.shape}")
     out_shape = p.shape[:-1]
     p = p.reshape(-1, 3)
-    chunks = (p[start : start + _CHUNK] for start in range(0, len(p), _CHUNK))
-    return _sample(vol, len(p), chunks).reshape(out_shape)
+    starts = range(0, len(p), _CHUNK)
+    return _sample(vol, len(p), starts, lambda i: p[starts[i] : starts[i] + _CHUNK]).reshape(out_shape)
 
 
-def _sample(vol: Volume, n: int, chunks) -> np.ndarray:
-    """One counted interpolation pass over ``n`` points, drawn as consecutive ``(m, 3)`` chunks."""
+def _sample(vol: Volume, n: int, starts, points) -> np.ndarray:
+    """One counted interpolation pass over ``n`` points, in chunks.
+
+    Chunk ``i`` fills ``out[starts[i]:starts[i + 1]]`` (the last one up to
+    ``n``) from the ``(m, 3)`` points that ``points(i)`` returns.  The chunks
+    are pool tasks (``_kernels._run_tasks``), each of which builds its own
+    points and writes only its own range, so a pass of one chunk, or one
+    made from inside a pooled task, runs inline.  Every value is bitwise the
+    same whichever thread computed it.
+    """
     global _INTERP_CALLS
     with _INTERP_LOCK:
         _INTERP_CALLS += 1
@@ -146,10 +156,12 @@ def _sample(vol: Volume, n: int, chunks) -> np.ndarray:
     src = values if values.flags.c_contiguous or values.flags.f_contiguous else np.ascontiguousarray(values)
     flat = src.reshape(-1, order="A")
     strides = tuple(s // src.itemsize for s in src.strides)  # element strides
-    start = 0
-    for p in chunks:
-        out[start : start + len(p)] = _trilinear(flat, strides, values.shape, vol.spacing, p)
-        start += len(p)
+    stops = list(starts[1:]) + [n]
+
+    def chunk(i):
+        out[starts[i] : stops[i]] = _trilinear(flat, strides, values.shape, vol.spacing, points(i))
+
+    _run_tasks(chunk, len(starts))
     return out
 
 
@@ -196,39 +208,49 @@ def resample(vol: Volume, T: np.ndarray, out_dims, out_spacing) -> Volume:
 
     The output voxel at world point ``q`` takes the value of the input volume
     at ``T^-1 q``; composing any number of transforms into ``T`` beforehand
-    keeps the pass count at one.  The source points are built for one slab
-    of about ``_CHUNK`` points (whole z-planes) at a time, one component at
-    a time into a ``(3, planes, ny, nx)`` buffer, as outer sums of the scaled
-    grid axes, and sampled through its component-major view; no call holds
+    keeps the pass count at one.  ``out_dims`` is one integer or three, each
+    at least 2, and ``out_spacing`` one or three finite positive numbers in
+    mm.  Each chunk of the pass is a slab of about ``_CHUNK`` points (whole
+    z-planes), whose source points it builds one component at a time into a
+    ``(3, planes, ny, nx)`` buffer of its own, as outer sums of the scaled
+    grid axes, and samples through its component-major view; no call holds
     the whole grid's points.  So the points are visited x-fastest, the
     memory order of the volumes :func:`read_volume` returns, and the
     ``(nx, ny, nz)`` output is the transposed view of the ``(nz, ny, nx)``
     samples.
     """
+    try:
+        dims, spacing = _as_triple(out_dims), _as_triple(out_spacing)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"out_dims and out_spacing need one number or three: {exc}") from exc
+    if not all(n.is_integer() and n >= 2 for n in dims):
+        raise ValueError(f"out_dims must be integers of at least 2, got {out_dims!r}")
+    # written so that NaN, which fails every comparison, is rejected too
+    if not all(0.0 < s < math.inf for s in spacing):
+        raise ValueError(f"out_spacing must be finite and positive, got {out_spacing!r}")
     T = np.asarray(T, dtype=float)
     try:
         Tinv = np.linalg.inv(T)
     except np.linalg.LinAlgError as exc:
         raise GeometryError("resample transform is singular") from exc
 
-    dims = _as_triple(out_dims, int)
-    spacing = _as_triple(out_spacing)
+    nx, ny, nz = dims = tuple(int(n) for n in dims)
     ax, ay, az = ((np.arange(n, dtype=float) - (n - 1) / 2.0) * s for n, s in zip(dims, spacing))
-    nx, ny, nz = dims
     # (x + y) + z per component, summed in the same order whatever the slab
     xy = [np.add.outer(Tinv[d, 1] * ay, Tinv[d, 0] * ax) for d in range(3)]
     z = [Tinv[d, 2] * az + Tinv[d, 3] for d in range(3)]
     planes = max(1, _CHUNK // (nx * ny))
-    pts = np.empty((3, planes, ny, nx))
+    z0s = range(0, nz, planes)
 
-    def slabs():
-        for z0 in range(0, nz, planes):
-            n = min(planes, nz - z0)
-            for d in range(3):
-                np.add.outer(z[d][z0 : z0 + n], xy[d], out=pts[d, :n])
-            yield np.moveaxis(pts[:, :n], 0, -1).reshape(-1, 3)
+    def slab(i):
+        z0 = z0s[i]
+        n = min(planes, nz - z0)
+        pts = np.empty((3, n, ny, nx))
+        for d in range(3):
+            np.add.outer(z[d][z0 : z0 + n], xy[d], out=pts[d])
+        return np.moveaxis(pts, 0, -1).reshape(-1, 3)
 
-    out = _sample(vol, nx * ny * nz, slabs())
+    out = _sample(vol, nx * ny * nz, [z0 * nx * ny for z0 in z0s], slab)
     return Volume(values=out.reshape(nz, ny, nx).T, spacing=spacing)
 
 

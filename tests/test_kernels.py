@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import force_dispatch
 from planereg import _kernels
 
 TAPS = list(itertools.product(range(3), repeat=3))
@@ -85,12 +86,6 @@ def _assert_block_matches(got, ref, tol):
             np.testing.assert_allclose(g, r, rtol=tol, atol=tol)
 
 
-def force_dispatch(monkeypatch, pooled):
-    """Sends every multi-sample kernel call to the pool, or runs every call inline."""
-    for name in ("_MIN_TASK", "_MIN_MACS"):
-        monkeypatch.setattr(_kernels, name, 0 if pooled else 1 << 62)
-
-
 class Inline:
     """Runs every kernel call inline; a ``Pooled`` subclass sends every call to the pool."""
 
@@ -165,32 +160,37 @@ class TestSlabs(Inline):
     ``_SLAB`` is set so that ``_plane_slabs``, which every pass draws its
     slabs from, gives slabs of ``DEPTH`` depths.  A fused block's slabs
     cover the 6 depths it pools, ``DEPTH`` rounded down to even, at least 2.
-    ``SLABS`` maps ``even`` to the ``(z0, n)`` schedule every sample must draw.
+    ``SLABS`` maps ``even`` to the ``(z0, n)`` schedule each sample draws in
+    one task.  Pooled, on two workers, a single sample's forward splits into
+    the two tasks of ``SPLIT[even]``, whose slabs are drawn at ``_SLAB // 2``.
     """
 
     SHAPE = (2, 3, 7, 14, 16)  # D = 7: slabs of 3, 3 and 1 depths when DEPTH = 3; H != W
     DEPTH = 3
     SLABS = {False: [(0, 3), (3, 3), (6, 1)], True: [(0, 2), (2, 2), (4, 2)]}
+    SPLIT = {False: [[(z, 1) for z in range(3)], [(z, 1) for z in range(3, 7)]], True: [[(0, 2)], [(2, 2), (4, 2)]]}
 
     @pytest.fixture(autouse=True)
     def slabs_of_depth(self, monkeypatch, dispatch):
         _, C, _, H, W = self.SHAPE
         monkeypatch.setattr(_kernels, "_SLAB", self.DEPTH * C * 27 * (H + 2) * (W + 2))
-        drawn = []  # per sample: its slabs, and whether it ran on the calling thread
+        drawn = []  # per task: its slabs, and whether it ran on the calling thread
         builder = _kernels._plane_slabs
 
-        def slabs_of(xs, dtype, even=False):
+        def slabs_of(flat, shape, dz, lo, hi):
             slabs = []
-            drawn.append((slabs, even, threading.current_thread() is threading.main_thread()))
-            for z0, n, cols in builder(xs, dtype, even):
+            drawn.append((slabs, threading.current_thread() is threading.main_thread()))
+            for z0, n, cols in builder(flat, shape, dz, lo, hi):
                 slabs.append((z0, n))
                 yield z0, n, cols
 
         monkeypatch.setattr(_kernels, "_plane_slabs", slabs_of)
         yield
-        assert drawn and all(slabs == self.SLABS[even] for slabs, even, _ in drawn)
-        on_caller = [inline for _, _, inline in drawn]
-        # pooled, only single-sample calls stay on the calling thread
+        schedules = [self.SLABS[False], self.SLABS[True]]
+        if self.POOLED:
+            schedules += self.SPLIT[False] + self.SPLIT[True]
+        assert drawn and all(slabs in schedules for slabs, _ in drawn)
+        on_caller = [inline for _, inline in drawn]
         assert not all(on_caller) if self.POOLED else all(on_caller)
 
     def _operands(self, seed, B=None, dtype=np.float64):
@@ -276,6 +276,7 @@ class TestOneDepthSlabs(TestSlabs):
 
     DEPTH = 1
     SLABS = {False: [(z, 1) for z in range(7)], True: [(0, 2), (2, 2), (4, 2)]}
+    SPLIT = TestSlabs.SPLIT
 
 
 class TestOneDepthSlabsPooled(TestOneDepthSlabs):
@@ -287,6 +288,7 @@ class TestFourDepthSlabs(TestSlabs):
 
     DEPTH = 4
     SLABS = {False: [(0, 4), (4, 3)], True: [(0, 4), (4, 2)]}
+    SPLIT = {False: [[(0, 2), (2, 2)], [(4, 2), (6, 1)]], True: [[(0, 2)], [(2, 2), (4, 2)]]}
 
 
 class TestFourDepthSlabsPooled(TestFourDepthSlabs):
@@ -416,7 +418,7 @@ class _Dispatched(Exception):
 
 
 def where_conv_runs(monkeypatch, B, C, O, side):
-    """Where a conv block's tasks run at batch ``B``: "pool" or "inline" for each of its four calls.
+    """Where a conv block's tasks run at batch ``B`` on two workers: "pool" or "inline" for each of its four calls.
 
     The calls are the conv's forward and backward and the fused block's
     forward and backward.
@@ -432,6 +434,7 @@ def where_conv_runs(monkeypatch, B, C, O, side):
         raise _Dispatched
 
     monkeypatch.setattr(_kernels, "_map_tasks", recording)
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)  # the benchmark machine's
     # broadcast views have the operands' shapes without their memory
     x = np.broadcast_to(np.float32(1), (B, C, side, side, side))
     w = np.ones((O, C, 3, 3, 3), dtype=np.float32)
@@ -494,7 +497,8 @@ class TestDispatch:
         with np.errstate(over="ignore"):
             assert np.isinf(_kernels.conv3d_forward(x, w, bias)).all()
 
-    def test_small_tasks_and_single_samples_run_inline(self):
+    def test_small_tasks_and_single_samples_run_inline(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)  # a one-CPU process runs every call inline
         calling = []
         record = lambda i: calling.append(threading.current_thread() is threading.main_thread())
         _kernels._map_tasks(record, 4, _kernels._MIN_TASK - 1, _kernels._MIN_TASK)
@@ -511,10 +515,54 @@ class TestDispatch:
     def test_xval_calcaneus_blocks_run_inline(self, monkeypatch, block):
         assert where_conv_runs(monkeypatch, 4, *XVAL_CALCANEUS_BLOCKS[block]) == ["inline"] * 4
 
-    @pytest.mark.parametrize("blocks", [TRAIN_PAPER_BLOCKS, XVAL_CALCANEUS_BLOCKS], ids=["train-paper", "xval-calcaneus"])
+    @pytest.mark.parametrize("blocks", [XVAL_CALCANEUS_BLOCKS], ids=["xval-calcaneus"])
     def test_single_samples_run_inline(self, monkeypatch, blocks):
         for block in blocks:
             assert where_conv_runs(monkeypatch, 1, *block) == ["inline"] * 4
+
+    def test_single_sample_forwards_split_on_first_three_blocks(self, monkeypatch):
+        # b0-b2 have a slab per worker at the full _SLAB; b3 and b4 fit in one slab.
+        # Backwards keep one task per sample, so weight gradients sum in sample order
+        places = [where_conv_runs(monkeypatch, 1, *block) for block in TRAIN_PAPER_BLOCKS]
+        assert places == [["pool", "inline", "pool", "inline"]] * 3 + [["inline"] * 4] * 2
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", range(len(TRAIN_PAPER_BLOCKS)))
+    def test_split_single_sample_bitwise_equal_batch_row(self, monkeypatch, block, workers):
+        monkeypatch.setattr(_kernels, "_worker_count", lambda: workers)
+        C, O, side = TRAIN_PAPER_BLOCKS[block]
+        rng = np.random.default_rng(62 + block)
+        x = rng.standard_normal((2, C, side, side, side)).astype(np.float32)
+        w = (rng.standard_normal((O, C, 3, 3, 3)) / np.sqrt(27 * C)).astype(np.float32)
+        bias = rng.standard_normal(O).astype(np.float32)
+        for even in (False, True):
+            split = _kernels._split_parts(1, x.shape[1:], O, even)
+            assert split == (min(workers, 3) if workers > 1 and block < 3 else 1)
+            assert _kernels._split_parts(2, x.shape[1:], O, even) == 1
+        row = _kernels.conv3d_forward(x, w, bias)[0]
+        assert _kernels.conv3d_forward(x[:1], w, bias)[0].tobytes() == row.tobytes()
+        for record in (False, True):
+            out, first = _kernels.conv_block_forward(x, w, bias, record)
+            one, one_first = _kernels.conv_block_forward(x[:1], w, bias, record)
+            assert one[0].tobytes() == out[0].tobytes() and np.any(out[0] > 0)
+            if record:
+                assert one_first[0].tobytes() == first[0].tobytes()
+
+    def test_nested_calls_run_on_the_task_thread_and_finish(self, monkeypatch):
+        force_dispatch(monkeypatch, pooled=True)
+
+        def outer(i):
+            # more outer tasks than workers: each would wait on inner tasks queued behind the others
+            inner = _kernels._map_tasks(lambda j: threading.current_thread(), 4, 0, 0)
+            return threading.current_thread(), inner
+
+        results = []
+        caller = threading.Thread(target=lambda: results.extend(_kernels._map_tasks(outer, 8, 0, 0)))
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and len(results) == 8
+        for task_thread, inner in results:
+            assert task_thread is not caller and inner == [task_thread] * 4
 
     def test_results_come_in_index_order(self):
         assert _kernels._map_tasks(lambda i: i * i, 16, _kernels._MIN_TASK, _kernels._MIN_TASK) == [i * i for i in range(16)]

@@ -1,5 +1,6 @@
 import re
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from planereg import volume
+from conftest import force_dispatch
+from planereg import augmentation, volume
 from planereg.geometry import (
     GeometryError,
     PlaneFrame,
@@ -208,6 +210,22 @@ class TestResample:
         reset_interpolation_counter()
         resample(v, np.eye(4), 8, 1.0)
         assert interpolation_call_count() == 1
+
+    @pytest.mark.parametrize("dims", [0, (4, 0, 4), -2, 1, (4, 1, 4), 2.5, np.nan, np.inf, (4, 4)])
+    def test_bad_out_dims_rejected_before_sampling(self, dims):
+        v = constant_volume()
+        before = interpolation_call_count()
+        with pytest.raises(ValueError, match="out_dims"):
+            resample(v, np.eye(4), dims, 1.0)
+        assert interpolation_call_count() == before
+
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, np.nan, np.inf, (1.0, 0.0, 1.0), (1.0, 1.0)])
+    def test_bad_out_spacing_rejected_before_sampling(self, spacing):
+        v = constant_volume()
+        before = interpolation_call_count()
+        with pytest.raises(ValueError, match="out_spacing"):
+            resample(v, np.eye(4), 8, spacing)
+        assert interpolation_call_count() == before
 
     def test_matches_trilinear_sample_at_independent_points(self):
         # a Fortran-ordered int16 source, as read_volume returns it; values
@@ -413,6 +431,59 @@ class TestMprSlice:
         p = PlaneFrame(A=np.zeros(3), e_u=[1, 0, 0], e_v=[0, 1, 0])
         with pytest.raises(ValueError, match="px_spacing must be finite and positive"):
             extract_mpr_slice(v, p, size=8, px_spacing=px)
+
+
+TRILINEAR = volume._trilinear
+
+
+class TestPooledPasses:
+    """A pass of several chunks runs them as pool tasks, bitwise as inline, and counts once."""
+
+    def _pass(self, monkeypatch, pooled, run):
+        """``run()``'s result, its pass count, and whether each chunk ran on the calling thread."""
+        force_dispatch(monkeypatch, pooled)
+        on_caller = []
+
+        def recording(*args):
+            on_caller.append(threading.current_thread() is threading.main_thread())
+            return TRILINEAR(*args)
+
+        monkeypatch.setattr(volume, "_trilinear", recording)
+        before = interpolation_call_count()
+        out = run()
+        return out, interpolation_call_count() - before, on_caller
+
+    @pytest.fixture
+    def source(self):
+        # Fortran-ordered int16, as read_volume returns it
+        rng = np.random.default_rng(11)
+        return Volume(values=np.asfortranarray(rng.integers(-1000, 2000, size=(40, 36, 44)).astype(np.int16)),
+                      spacing=(1.5, 1.7, 1.4))
+
+    def _assert_pooled_equals_inline(self, monkeypatch, run, chunks):
+        inline, inline_passes, inline_threads = self._pass(monkeypatch, False, run)
+        pooled, pooled_passes, pooled_threads = self._pass(monkeypatch, True, run)
+        assert inline_passes == pooled_passes == 1
+        assert inline_threads == [True] * chunks and len(pooled_threads) == chunks and not any(pooled_threads)
+        assert pooled.dtype == inline.dtype and pooled.tobytes() == inline.tobytes()
+
+    def test_center_input(self, monkeypatch, source):
+        # 48^3 points in slabs of 14 planes: 4 chunks
+        run = lambda: augmentation.center_input(source, 48, 1.3)
+        self._assert_pooled_equals_inline(monkeypatch, run, chunks=4)
+        assert np.unique(run()).size > 1000
+
+    def test_extract_mpr_slice(self, monkeypatch, source):
+        R = rotation_about_axis([1, 2, -1], 0.6)
+        plane = PlaneFrame(A=[3.0, -2.0, 1.0], e_u=R[:, 0], e_v=R[:, 1])
+        # 300^2 points: 3 chunks, the last one short
+        run = lambda: extract_mpr_slice(source, plane, size=300, px_spacing=0.25)
+        self._assert_pooled_equals_inline(monkeypatch, run, chunks=3)
+        assert np.unique(run()).size > 100
+
+    def test_one_chunk_pass_runs_inline(self, monkeypatch, source):
+        _, passes, on_caller = self._pass(monkeypatch, True, lambda: resample(source, np.eye(4), 32, 2.0))
+        assert passes == 1 and on_caller == [True]
 
 
 @st.composite
