@@ -17,13 +17,12 @@ from .geometry import (
     decode_rotation,
     encode_rotation,
     frame_to_rotation,
-    plane_normal,
     rotation_to_frame,
     transform_plane,
 )
 from .harness import ExperimentConfig, cross_validate, evaluate, split_kfold_grouped, train
-from .loss_metrics import LossWeights, PlaneErrors, aggregate_errors, loss, plane_errors, score
-from .model import NetworkConfig, PlaneRegressionNet, load_checkpoint, output_layout, save_checkpoint
+from .loss_metrics import LossWeights, PlaneErrors, aggregate_errors, plane_errors, score
+from .model import NetworkConfig, PlaneRegressionNet, load_checkpoint, save_checkpoint
 from .phantom import PhantomSpec, generate_dataset, generate_phantom
 from .volume import Volume, WindowConfig, extract_mpr_slice, resample, trilinear_sample, window
 
@@ -56,10 +55,7 @@ __all__ = [
     "generate_dataset",
     "generate_phantom",
     "load_checkpoint",
-    "loss",
-    "output_layout",
     "plane_errors",
-    "plane_normal",
     "resample",
     "rotation_to_frame",
     "save_checkpoint",

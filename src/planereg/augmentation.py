@@ -3,8 +3,10 @@
 One augmentation draws a mirror flag, three per-axis rotation angles, a
 uniform scale, and a translation, composes them into a single homogeneous
 matrix (mirror, then rotate, then scale, then translate), and resamples the
-volume exactly once through the composite.  Plane labels ride along through
-the same matrix, so an augmented sample stays self-consistent: decoding its
+volume exactly once through the composite.  The jittered HU values then go
+through the one fixed display window, ``volume.WINDOW``, as the test-time
+input of :func:`center_input` does.  Plane labels ride along through the
+same matrix, so an augmented sample stays self-consistent: decoding its
 target vector and mapping it back through the inverse transform recovers the
 original annotation.
 
@@ -38,7 +40,7 @@ from .geometry import (
     transform_plane,
     translation_transform,
 )
-from .volume import Volume, WindowConfig, intensity_pipeline, resample
+from .volume import Volume, intensity_pipeline, resample
 
 _STREAM_IDS = {"spatial": 0, "intensity": 1, "mirror": 2}
 
@@ -47,13 +49,8 @@ _OUT_OF_CUBE_LOCK = threading.Lock()  # samples may be augmented on several thre
 
 
 def out_of_cube_count() -> int:
-    """Augmented samples whose plane center left the normalized cube."""
+    """Augmented samples whose plane center left the normalized cube, since the process started."""
     return _out_of_cube
-
-
-def reset_out_of_cube_counter() -> None:
-    global _out_of_cube
-    _out_of_cube = 0
 
 
 class SeededRng:
@@ -195,7 +192,6 @@ def augment_sample(
     cfg: AugmentConfig,
     rng: SeededRng,
     kind: RotationKind = RotationKind.SIXD,
-    window_cfg: WindowConfig = WindowConfig(),
 ) -> AugmentedSample:
     """Produce an augmented input tensor plus consistently moved labels.
 
@@ -208,7 +204,7 @@ def augment_sample(
     T, mirrored, factor = sample_augmentation(cfg, rng)
     resampled = resample(vol, T, cfg.out_dims, cfg.out_spacing)
     # resample returns a transposed view; the network takes C order, so convert once here
-    image = intensity_pipeline(resampled.values, window_cfg, factor).astype(np.float32, order="C")
+    image = intensity_pipeline(resampled.values, factor).astype(np.float32, order="C")
     moved = [transform_plane(T, p) for p in planes]
     target = encode_plane_targets(moved, kind, cfg.extent_mm)
 
@@ -226,7 +222,7 @@ def augment_sample(
     )
 
 
-def center_input(vol: Volume, out_dims: int, out_spacing: float, window_cfg: WindowConfig = WindowConfig()) -> np.ndarray:
+def center_input(vol: Volume, out_dims: int, out_spacing: float) -> np.ndarray:
     """Deterministic test-time input: center resample plus intensity pipeline."""
     resampled = resample(vol, identity_transform(), out_dims, out_spacing)
-    return intensity_pipeline(resampled.values, window_cfg, 1.0).astype(np.float32, order="C")
+    return intensity_pipeline(resampled.values, 1.0).astype(np.float32, order="C")

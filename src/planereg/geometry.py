@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ORTHO_TOL = 1e-6
 UNIT_TOL = 1e-9
 DEGENERACY_EPS = 1e-8
 
@@ -80,18 +79,6 @@ class PlaneFrame:
         return n / np.linalg.norm(n)
 
 
-def plane_normal(e_u, e_v) -> np.ndarray:
-    """Normal of the plane spanned by unit, mutually orthogonal ``e_u, e_v``."""
-    u = _as_vec3(e_u)
-    v = _as_vec3(e_v)
-    if abs(np.linalg.norm(u) - 1.0) > ORTHO_TOL or abs(np.linalg.norm(v) - 1.0) > ORTHO_TOL:
-        raise GeometryError("plane_normal requires unit-norm inputs")
-    if abs(float(u @ v)) > ORTHO_TOL:
-        raise GeometryError("plane_normal requires orthogonal inputs")
-    n = np.cross(u, v)
-    return n / np.linalg.norm(n)
-
-
 def frame_to_rotation(p: PlaneFrame) -> np.ndarray:
     """3x3 rotation with columns ``(e_u, e_v, e_u x e_v)``."""
     return np.stack([p.e_u, p.e_v, np.cross(p.e_u, p.e_v)], axis=1)
@@ -101,20 +88,6 @@ def rotation_to_frame(R: np.ndarray, A) -> PlaneFrame:
     """Inverse of :func:`frame_to_rotation` for a given plane center."""
     R = np.asarray(R, dtype=float)
     return PlaneFrame(A=np.asarray(A, dtype=float), e_u=R[:, 0].copy(), e_v=R[:, 1].copy())
-
-
-def assert_rotation(R: np.ndarray, tol: float = ORTHO_TOL) -> np.ndarray:
-    """Validate that ``R`` is a proper rotation (stacked inputs allowed)."""
-    R = np.asarray(R, dtype=float)
-    if R.shape[-2:] != (3, 3):
-        raise GeometryError(f"expected (..., 3, 3) rotation, got shape {R.shape}")
-    eye = np.eye(3)
-    gram = np.einsum("...ji,...jk->...ik", R, R)
-    if np.max(np.abs(gram - eye)) > tol:
-        raise GeometryError("matrix columns are not orthonormal")
-    if np.max(np.abs(np.linalg.det(R) - 1.0)) > tol:
-        raise GeometryError("matrix determinant is not +1")
-    return R
 
 
 # ---------------------------------------------------------------------------

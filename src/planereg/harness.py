@@ -373,7 +373,7 @@ def load_trained(path) -> tuple[PlaneRegressionNet, ExperimentConfig, str | None
         raise ValueError(f"{path}: plane {plane!r} is not one of the {cfg.mode} planes {cfg.plane_names}")
     expected = cfg.network_config(n_planes=len(cfg.plane_names) if plane is None else 1)
     if net.config != expected:
-        raise ValueError(f"{path}: network {net.config.to_dict()} differs from its config's {expected.to_dict()}")
+        raise ValueError(f"{path}: network {field_values(net.config)} differs from its config's {field_values(expected)}")
     return net, cfg, plane
 
 
@@ -408,7 +408,7 @@ def evaluate(net: PlaneRegressionNet, samples: list[Sample], cfg: ExperimentConf
     names = (plane,) if plane is not None else cfg.plane_names
     expected = cfg.network_config(len(names))
     if net.config != expected:
-        raise ValueError(f"network {net.config.to_dict()} differs from the config's {expected.to_dict()} for {names}")
+        raise ValueError(f"network {field_values(net.config)} differs from the config's {field_values(expected)} for {names}")
     errors: dict[str, list[PlaneErrors]] = {n: [] for n in names}
     prep_times, times = [], []
     for s in samples:
@@ -521,8 +521,11 @@ def _run_folds(cfg: ExperimentConfig, samples: list[Sample], folds: list[int], s
         return dict(zip(folds, results))
 
 
-def _fold_list(folds: list[int] | None, k: int) -> list[int]:
-    """All ``k`` folds when ``folds`` is None, else ``folds`` checked against ``k``."""
+def _fold_list(folds: list[int] | None, k: int, jobs: int = 1) -> list[int]:
+    """All ``k`` folds when ``folds`` is None, else ``folds`` checked against
+    ``k``; ``jobs`` must be at least 1."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if folds is None:
         return list(range(k))
     folds = list(folds)
@@ -544,7 +547,7 @@ def cross_validate(
     Returns the per-fold mean rows.  Result files are written atomically
     (write to a temp file, then rename).
     """
-    folds = _fold_list(folds, cfg.k)
+    folds = _fold_list(folds, cfg.k, jobs)
     os.makedirs(out_dir, exist_ok=True)
     results = _run_folds(cfg, load_samples(manifest_path), folds, scheme, jobs)
     mean_rows = []
@@ -585,7 +588,7 @@ def ablation_driver(
     """
     if which not in ABLATION_AXES:
         raise ValueError(f"unknown ablation axis {which!r}")
-    folds = _fold_list(folds, cfg.k)
+    folds = _fold_list(folds, cfg.k, jobs)
     os.makedirs(out_dir, exist_ok=True)
     samples = load_samples(manifest_path)
 

@@ -36,13 +36,8 @@ _degenerate_normals = 0
 
 
 def degenerate_normal_count() -> int:
-    """Plane decodes rejected inside the orthogonality term since last reset."""
+    """Plane decodes rejected inside the orthogonality term since the process started."""
     return _degenerate_normals
-
-
-def reset_degenerate_normal_counter() -> None:
-    global _degenerate_normals
-    _degenerate_normals = 0
 
 
 ORTHOGONALITY_FORMS = ("cross", "dot")
@@ -212,27 +207,6 @@ def loss_graph(
                 pair_terms.append(engine.mul(term, mask) + (1.0 - mask))
         total = total + weights.gamma * engine.tmean(engine.concat(pair_terms, axis=0))
     return total
-
-
-def loss(
-    pred: np.ndarray,
-    target: np.ndarray,
-    weights: LossWeights,
-    kind: RotationKind,
-    n_planes: int,
-    orthogonality_form: str = "cross",
-) -> tuple[float, np.ndarray]:
-    """Loss value and its gradient w.r.t. the prediction vector(s)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    squeeze = pred.ndim == 1
-    if squeeze:
-        pred = pred[None, :]
-        target = np.asarray(target, dtype=np.float64)[None, :]
-    pt = Tensor(pred.copy(), requires_grad=True)
-    node = loss_graph(pt, target, weights, kind, n_planes, orthogonality_form)
-    node.backward()
-    grad = pt.grad if pt.grad is not None else np.zeros_like(pred)
-    return node.item(), grad[0] if squeeze else grad
 
 
 # ---------------------------------------------------------------------------

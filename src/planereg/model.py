@@ -45,16 +45,6 @@ CHECKPOINT_MAGIC = b"PLANEREG"
 CHECKPOINT_VERSION = 1
 
 
-def output_layout(kind: RotationKind, n_planes: int, combined: bool) -> int:
-    """Number of output nodes: 3 translation values plus the rotation encoding
-    per plane (7 for quaternions, 9 for Euler sine/cosine and 6D), times the
-    plane count for a combined network."""
-    if n_planes < 1:
-        raise ValueError("n_planes must be at least 1")
-    per_plane = 3 + RotationKind(kind).length
-    return per_plane * n_planes if combined else per_plane
-
-
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture hyperparameters of the plane regression CNN (see ``ExperimentConfig.network_config``)."""
@@ -82,7 +72,10 @@ class NetworkConfig:
 
     @property
     def n_out(self) -> int:
-        return output_layout(self.representation, self.n_planes, self.combined)
+        """Number of output nodes: 3 translation values plus the rotation encoding
+        per plane (7 for quaternions, 9 for Euler sine/cosine and 6D), times the
+        plane count for a combined network."""
+        return (3 + self.representation.length) * (self.n_planes if self.combined else 1)
 
     @property
     def flatten_dim(self) -> int:
@@ -90,9 +83,6 @@ class NetworkConfig:
         for _ in self.channels:
             side //= 2
         return side**3 * self.channels[-1]
-
-    def to_dict(self) -> dict:
-        return field_values(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkConfig":
@@ -257,7 +247,7 @@ class SGDMomentum:
 def save_checkpoint(path, net: PlaneRegressionNet, extra: dict | None = None) -> None:
     """Write the documented versioned binary checkpoint (see module docstring)."""
     header = json.dumps(
-        {"network": net.config.to_dict(), "extra": extra or {}}, sort_keys=True
+        {"network": field_values(net.config), "extra": extra or {}}, sort_keys=True
     ).encode("utf-8")
     params = net.named_parameters()
     with open(path, "wb") as fh:

@@ -1,5 +1,9 @@
 """Voxel volumes: trilinear resampling, HU windowing, MPR slice extraction.
 
+Every network input and every MPR render goes through one fixed display
+window, :data:`WINDOW`: clip to [-490, 1040] HU, rescale onto [0, 1], then
+a logistic with gain ``2 ln 99``.
+
 A :class:`Volume` is an axis-aligned grid of Hounsfield samples indexed
 ``values[ix, iy, iz]`` with its world origin fixed at the grid center, so the
 voxel center ``(i, j, k)`` sits at world ``((i - (nx-1)/2) * sx, ...)`` mm.
@@ -23,21 +27,13 @@ HU_MIN = -1024.0
 HU_MAX = 3071.0
 FILL_HU = -1024.0
 
-# w(0) ~ 0.01 and w(1) ~ 0.99
-DEFAULT_GAIN = 2.0 * math.log(99.0)
-
 _INTERP_CALLS = 0
 _INTERP_LOCK = threading.Lock()  # passes may run on several threads at once
 
 
 def interpolation_call_count() -> int:
-    """Number of interpolation passes since the last reset."""
+    """Number of interpolation passes since the process started."""
     return _INTERP_CALLS
-
-
-def reset_interpolation_counter() -> None:
-    global _INTERP_CALLS
-    _INTERP_CALLS = 0
 
 
 def _as_triple(x) -> tuple:
@@ -90,17 +86,14 @@ class Volume:
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Clip range plus logistic gain for intensity windowing."""
+    """Clip range plus logistic gain of the display window, :data:`WINDOW`."""
 
     clip_lo: float = -490.0
     clip_hi: float = 1040.0
-    gain: float = DEFAULT_GAIN
+    gain: float = 2.0 * math.log(99.0)  # w(0) ~ 0.01 and w(1) ~ 0.99
 
-    def __post_init__(self):
-        if not self.clip_lo < self.clip_hi:
-            raise ValueError("clip_lo must be below clip_hi")
-        if not self.gain > 0:
-            raise ValueError("gain must be positive")
+
+WINDOW = WindowConfig()
 
 
 # points per interpolation chunk, and so per pool task of a pass: each
@@ -265,36 +258,28 @@ def intensity_jitter(hu, factor: float):
     return (np.asarray(hu) + 1000.0) * factor - 1000.0
 
 
-def clip_rescale(hu, cfg: WindowConfig = WindowConfig()):
-    """Clamp to the clip range and map it affinely onto [0, 1]."""
-    x = np.clip(hu, cfg.clip_lo, cfg.clip_hi)
-    return (x - cfg.clip_lo) / (cfg.clip_hi - cfg.clip_lo)
+def clip_rescale(hu):
+    """Clamp to :data:`WINDOW`'s clip range and map it affinely onto [0, 1]."""
+    x = np.clip(hu, WINDOW.clip_lo, WINDOW.clip_hi)
+    return (x - WINDOW.clip_lo) / (WINDOW.clip_hi - WINDOW.clip_lo)
 
 
-def window(x, gain: float = DEFAULT_GAIN):
-    """Logistic windowing ``1 / (1 + exp(gain * (0.5 - x)))``."""
-    if not gain > 0:
-        raise ValueError("gain must be positive")
+def window(x):
+    """Logistic windowing ``1 / (1 + exp(gain * (0.5 - x)))`` with :data:`WINDOW`'s gain."""
     x = np.asarray(x)
-    return 1.0 / (1.0 + np.exp(gain * (0.5 - x)))
+    return 1.0 / (1.0 + np.exp(WINDOW.gain * (0.5 - x)))
 
 
-def intensity_pipeline(hu, cfg: WindowConfig = WindowConfig(), jitter_factor: float = 1.0):
+def intensity_pipeline(hu, jitter_factor: float = 1.0):
     """Full HU-to-network-input mapping, returning values in (0, 1)."""
-    return window(clip_rescale(intensity_jitter(hu, jitter_factor), cfg), cfg.gain)
+    return window(clip_rescale(intensity_jitter(hu, jitter_factor)))
 
 
 # ---------------------------------------------------------------------------
 # MPR slice extraction
 
 
-def extract_mpr_slice(
-    vol: Volume,
-    plane: PlaneFrame,
-    size=(256, 256),
-    px_spacing: float = 1.0,
-    cfg: WindowConfig = WindowConfig(),
-) -> np.ndarray:
+def extract_mpr_slice(vol: Volume, plane: PlaneFrame, size=(256, 256), px_spacing: float = 1.0) -> np.ndarray:
     """Render a plane as an 8-bit grayscale image.
 
     Pixel ``(i, j)`` samples the volume at
@@ -302,9 +287,9 @@ def extract_mpr_slice(
     increasing upward; the returned array is in display order (row 0 on top).
     The points are built one component at a time into a ``(3, h, w)`` array
     and sampled through its component-major view.  Intensities go through
-    clip/rescale plus windowing before quantization.  ``size`` is one side
-    length or ``(w, h)`` in pixels, each a positive integer, and
-    ``px_spacing`` is finite and positive.
+    :data:`WINDOW`'s clip/rescale plus windowing before quantization.
+    ``size`` is one side length or ``(w, h)`` in pixels, each a positive
+    integer, and ``px_spacing`` is finite and positive.
     """
     w, h = (size, size) if np.isscalar(size) else size
     if not all(float(n).is_integer() and n > 0 for n in (w, h)):
@@ -319,7 +304,7 @@ def extract_mpr_slice(
     for d in range(3):
         np.add.outer(jv * plane.e_v[d], plane.A[d] + iu * plane.e_u[d], out=pts[d])
     hu = trilinear_sample(vol, np.moveaxis(pts, 0, -1))
-    img = window(clip_rescale(hu, cfg), cfg.gain)
+    img = window(clip_rescale(hu))
     img8 = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     return img8[::-1, :]  # row 0 = top of the image
 

@@ -5,6 +5,28 @@ from planereg import _kernels
 from planereg.geometry import _quaternion_to_rotation
 
 
+_skipped = []
+
+
+def pytest_runtest_logreport(report):
+    if report.skipped and not hasattr(report, "wasxfail"):
+        _skipped.append(report.nodeid)
+
+
+pytest_collectreport = pytest_runtest_logreport  # a skipped module
+
+
+def pytest_sessionfinish(session, exitstatus):
+    # a skipped test checks nothing here, and one that is always skipped hides a defect, so a skip fails the run
+    if _skipped and exitstatus == pytest.ExitCode.OK:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter):
+    if _skipped:
+        terminalreporter.write_line(f"{len(_skipped)} skipped test(s) fail the run: " + ", ".join(_skipped), red=True)
+
+
 def random_rotations(n: int, seed: int = 0) -> np.ndarray:
     """Uniformly distributed rotation matrices, shape (n, 3, 3)."""
     rng = np.random.default_rng(seed)

@@ -390,6 +390,19 @@ class TestHelpAndErrors:
         assert f"[{folds.replace(',', ', ')}]" in err and "k=2" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["xval", "ablate"])
+    def test_bad_jobs_exit_1_before_any_output(self, dataset_dir, tmp_path, capsys, command, jobs):
+        axis = ["--axis", "representation"] if command == "ablate" else []
+        out = tmp_path / "o"
+        code = run_cli(
+            command, *axis, "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(out),
+            f"--jobs={jobs}", *TRAIN_OVERRIDES,
+        )
+        assert code == 1
+        assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command,override,key",
         [
@@ -486,6 +499,7 @@ class TestHelpAndErrors:
             (["spacing=0"], "spacing"),
             (["pose_rot_deg=-5"], "pose_rot_deg"),
             (["pose_trans_mm=-1"], "pose_trans_mm"),
+            (["dims=1"], "dims"),
         ],
     )
     def test_phantom_bounds_named(self, tmp_path, capsys, overrides, key):

@@ -22,29 +22,32 @@ from planereg.model import (
     SGDMomentum,
     he_init,
     load_checkpoint,
-    output_layout,
     save_checkpoint,
     sgd_momentum_step,
     step_decay,
 )
 
 
+def n_out(kind, n_planes, combined):
+    return NetworkConfig(kind, n_planes, combined, in_dims=8, channels=(2,), fc_widths=(4,)).n_out
+
+
 class TestOutputLayout:
     def test_quaternion_combined(self):
-        assert output_layout(RotationKind.QUATERNION, 3, True) == 21
+        assert n_out(RotationKind.QUATERNION, 3, True) == 21
 
     def test_sixd_combined(self):
-        assert output_layout(RotationKind.SIXD, 3, True) == 27
+        assert n_out(RotationKind.SIXD, 3, True) == 27
 
     def test_sixd_separate(self):
-        assert output_layout(RotationKind.SIXD, 1, False) == 9
+        assert n_out(RotationKind.SIXD, 1, False) == 9
 
     def test_euler_combined(self):
-        assert output_layout(RotationKind.EULER_SINCOS, 3, True) == 27
+        assert n_out(RotationKind.EULER_SINCOS, 3, True) == 27
 
     def test_rejects_zero_planes(self):
-        with pytest.raises(ValueError):
-            output_layout(RotationKind.SIXD, 0, True)
+        with pytest.raises(ValueError, match="n_planes"):
+            n_out(RotationKind.SIXD, 0, True)
 
 
 class TestHeInit:
@@ -108,7 +111,7 @@ class TestForward:
     def test_output_shape(self):
         net = _tiny_net(kind=RotationKind.QUATERNION)
         out = net.predict(np.random.default_rng(0).uniform(0, 1, (2, 8, 8, 8)))
-        assert out.shape == (2, output_layout(RotationKind.QUATERNION, 3, True))
+        assert out.shape == (2, 21)
 
     def test_head_is_linear(self):
         net = _tiny_net()

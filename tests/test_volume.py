@@ -21,10 +21,10 @@ from planereg.geometry import (
     translation_transform,
 )
 from planereg.volume import (
-    DEFAULT_GAIN,
     FILL_HU,
     HU_MAX,
     HU_MIN,
+    WINDOW,
     Volume,
     WindowConfig,
     clip_rescale,
@@ -34,7 +34,6 @@ from planereg.volume import (
     interpolation_call_count,
     read_volume,
     resample,
-    reset_interpolation_counter,
     trilinear_sample,
     window,
     write_pgm,
@@ -152,10 +151,10 @@ class TestTrilinearSample:
 
     def test_counter_increments_once_per_call(self):
         v = constant_volume()
-        reset_interpolation_counter()
+        before = interpolation_call_count()
         trilinear_sample(v, np.zeros((10, 3)))
         trilinear_sample(v, np.zeros((7, 3)))
-        assert interpolation_call_count() == 2
+        assert interpolation_call_count() - before == 2
 
 
 class TestResample:
@@ -207,9 +206,9 @@ class TestResample:
 
     def test_counts_as_one_interpolation_pass(self):
         v = constant_volume()
-        reset_interpolation_counter()
+        before = interpolation_call_count()
         resample(v, np.eye(4), 8, 1.0)
-        assert interpolation_call_count() == 1
+        assert interpolation_call_count() - before == 1
 
     @pytest.mark.parametrize("dims", [0, (4, 0, 4), -2, 1, (4, 1, 4), 2.5, np.nan, np.inf, (4, 4)])
     def test_bad_out_dims_rejected_before_sampling(self, dims):
@@ -326,22 +325,17 @@ class TestIntensityPipeline:
         assert clip_rescale(9999.0) == 1.0
 
     def test_window_fixed_point_exact(self):
-        for g in (1.0, DEFAULT_GAIN, 50.0):
-            assert window(0.5, g) == 0.5
+        assert window(0.5) == 0.5
 
     def test_window_default_gain_edges(self):
-        # 1 / (1 + e^4.595) and its mirror
-        assert window(0.0, 9.19) == pytest.approx(0.0100, abs=5e-4)
-        assert window(1.0, 9.19) == pytest.approx(0.9900, abs=5e-4)
+        # 1 / (1 + 99) and its mirror
+        assert window(0.0) == pytest.approx(0.01, abs=1e-12)
+        assert window(1.0) == pytest.approx(0.99, abs=1e-12)
 
     def test_window_monotone(self):
         x = np.linspace(0, 1, 10_000)
-        y = window(x, DEFAULT_GAIN)
+        y = window(x)
         assert np.all(np.diff(y) > 0)
-
-    def test_window_rejects_bad_gain(self):
-        with pytest.raises(ValueError):
-            window(0.5, 0.0)
 
     def test_pipeline_maps_into_unit_interval_monotonically(self):
         hu = np.linspace(-3000, 4000, 5000)
@@ -350,10 +344,9 @@ class TestIntensityPipeline:
         assert np.all(np.diff(y) >= 0)
 
     def test_default_window_config(self):
-        cfg = WindowConfig()
-        assert cfg.clip_lo == -490.0 and cfg.clip_hi == 1040.0
-        with pytest.raises(ValueError):
-            WindowConfig(clip_lo=10.0, clip_hi=-10.0)
+        assert WINDOW == WindowConfig()
+        assert (WINDOW.clip_lo, WINDOW.clip_hi) == (-490.0, 1040.0)
+        assert WINDOW.gain == pytest.approx(2.0 * np.log(99.0), rel=1e-15)
 
 
 class TestMprSlice:
@@ -405,8 +398,7 @@ class TestMprSlice:
         R = rotation_about_axis([1, 2, -1], 0.6)
         plane = PlaneFrame(A=[1.5, -2.0, 0.5], e_u=R[:, 0], e_v=R[:, 1])
         w, h, px = 23, 17, 0.9
-        cfg = WindowConfig(clip_lo=-600.0, clip_hi=1500.0)
-        img = extract_mpr_slice(v, plane, size=(w, h), px_spacing=px, cfg=cfg)
+        img = extract_mpr_slice(v, plane, size=(w, h), px_spacing=px)
         assert img.shape == (h, w)
         # row 0 is the top of the image, where j = h - 1
         points = np.array([
@@ -414,7 +406,7 @@ class TestMprSlice:
             for j in range(h - 1, -1, -1)
         ])
         hu = trilinear_sample(v, points)
-        want = np.clip(np.rint(window(clip_rescale(hu, cfg), cfg.gain) * 255.0), 0, 255).astype(np.uint8)
+        want = np.clip(np.rint(window(clip_rescale(hu)) * 255.0), 0, 255).astype(np.uint8)
         assert np.any(hu == FILL_HU) and np.any(hu != FILL_HU)
         assert np.array_equal(img, want)
 
