@@ -16,20 +16,24 @@ counts as its conv's.
 
 A conv or fused forward makes one task per sample, unless its batch has
 fewer samples than the pool has workers.  Then :func:`_split_parts` splits
-each sample's slabs (below) into contiguous ranges of output depths, as
-many as there are workers per sample, but no more than the sample has slabs
-at the full ``_SLAB``, and none below ``_MIN_MACS``.  Each range's column
-and product buffers are sized from ``_SLAB // parts``, so the call holds no
-more of them than one unsplit task, and a split sample's tasks read one
-padded input that the call builds before they start.  On 2 workers that
-splits the B=1 forwards of the benchmark's first three 72^3 blocks, whose
-sample holds 80.6 M multiply-adds in 9, 9 and 3 slabs; the last two blocks
-fit in one slab and stay inline (split in two anyway, the fourth block's
-B=1 forward took 1.21 against 0.91 ms).  Timed alone (one process, 2
-vCPUs, median of 40), the first three fused B=1 forwards took 5.46, 5.93
-and 2.88 ms split against 6.54, 6.74 and 2.97 ms inline: 1.03-1.20x, not
-2x, since the slabs stream their columns from memory.  A backward keeps one
-task per sample, so weight gradients still sum in sample order.
+each sample's output depths into near-equal contiguous ranges, of whole
+pairs of depths for a fused block, as many as there are workers per sample,
+but no more than the sample has slabs (below) at the full ``_SLAB``, and
+none below ``_MIN_MACS``.  Each range's column and product buffers are
+sized from ``_SLAB // parts``, so the call holds no more of them than one
+unsplit task, and a split sample's tasks read one padded input that the
+call builds before they start.  On 2 workers that splits the B=1 forwards
+of the benchmark's first three 72^3 blocks, whose sample holds 80.6 M
+multiply-adds in 9, 6 and 2 slabs; the last two blocks fit in one slab and
+stay inline (split in two anyway, the fourth block's B=1 forward took 1.21
+against 0.91 ms, before the k taps were folded).  The third block's fused
+forward splits its 18 pooled depths 8 and 10; cut at the starts of its
+slabs, as before, it split them 6 and 12 and took 1.47-1.67 ms.  Timed
+alone (one process, 2 vCPUs, median of 40), the first three fused B=1
+forwards took 5.0-5.2, 3.4-3.7 and 1.32-1.33 ms split against 6.2, 4.3-4.4
+and 1.72-1.76 ms inline: 1.20-1.32x, not 2x, since the slabs stream their
+columns from memory.  A backward keeps one task per sample, so weight
+gradients still sum in sample order.
 
 Counting multiply-adds, every conv block of the benchmark's 72^3 network
 (channels 8-128) pools at B=8: its smallest task, the last block's (64 to
@@ -63,41 +67,73 @@ belongs to no output.  The one spare zero plane is what the last slab's
 taps reach: its last column plus the largest offset is ``(D+2)*P + 2*W +
 5``, which is below ``(D+3)*P``.  So each tap's im2col copy, and the
 backward's col2im add, is one contiguous run per channel; copying the
-shifted ``(n, H, W)`` boxes instead moves rows of ``W`` elements.  A slab
-holds ``dz = _SLAB // (C*27*P)`` depths (at least one, at most ``D``), so
-the column buffer holds at most about 5 MB in float32 unless one depth
-alone needs more, and a slab is multiplied while its columns are still warm
-in cache.  Each task allocates one column buffer of that fixed size, which
-serves every slab of its range, so two workers hold as much column memory
-as one 10 MB buffer; no call maps a whole sample's or batch's columns.  The
-grid costs ``P/(H*W)`` times the columns: 1.11x at 36^2, 2.25x at 4^2.
+shifted ``(n, H, W)`` boxes instead moves rows of ``W`` elements.  The grid
+costs ``P/(H*W)`` times the columns: 1.11x at 36^2, 2.25x at 4^2.
 
-The forward pass multiplies ``w.reshape(O, C*27)`` by each slab's columns
-into an ``(O, n*P)`` buffer (:func:`_map_forward`) and adds the bias as it
-copies the interior out.  Each output element is the same dot product as on
-a grid without borders, and for the benchmark's five 72^3 blocks, at B=1
-and B=8 in float32, the outputs are bitwise those of the box-copy lowering.
-The backward pass (:func:`_sample_gradients`) puts the slab's ``gout`` into
-a zero-bordered ``(O, n, H+2, W+2)`` buffer, ``gext``, and three steps
-share the column buffer: ``gw += cols @ gext.T``; ``cols = w2.T @ gext``;
-and 27 contiguous adds of ``cols`` into the task's flat padded gradient,
-whose interior is the sample's input gradient.  The border columns of
-``gext`` are zero, so, for finite operands, they add nothing to either
-gradient.  Traced at 72^3 and B=8 (seed 1, 2 vCPUs), the second block's
-backward took 131 ms on this grid, against 176 ms with box copies.  The
-call sums the tasks' weight gradients in sample order.
+On this grid tap ``(i, j, k)``'s run is tap ``(i, j, 0)``'s, shifted by
+``k`` columns.  So for an input of several channels each column row serves
+three taps (Cho and Brand, 2017, "MEC: Memory-efficient Convolution for Deep
+Neural Network"): :func:`_plane_slabs` copies only the 9 ``(i, j, 0)`` taps
+per channel, each ``n*P + 2`` long, and tap ``(i, j, k)`` reads a row's
+columns from ``k`` on.  The weights go into one stacked ``(3*O, C*9)``
+matrix (:func:`_stacked`), whose row block ``k`` holds ``w[:, :, :, :,
+k]``.  The forward (:func:`_map_forward`) multiplies it by the slab's
+columns into a ``(3*O, n*P + 2)`` stacked product and adds blocks 1 and 2,
+shifted by 1 and 2 columns, in that order, into block 0 in place; block 0's
+first ``n*P`` columns are then the slab's convolution.  The backward
+(:func:`_sample_gradients`) writes the slab's zero-bordered gradient,
+``gext``, into block 0 of a ``(3*O, dz*P + 2)`` gradient stack, whose rows
+keep that fixed stride for every slab, and copies it into blocks 1 and 2
+shifted by 1 and 2 columns.  Then one ``np.dot`` of the columns with the
+stack gives the stacked weight gradient, one ``np.matmul`` of the stacked
+weights with it gives the column gradient, and col2im adds 9 runs per
+channel instead of 27.  A slab shorter than the deepest leaves the previous
+slab's gradient in block 0's two columns past its ``n*P``, so each slab
+zeroes them first; the shifted copies carry those zeros.  The border
+columns of ``gext`` are zero, so, for finite operands, they add nothing to
+either gradient.  The call sums the tasks' weight gradients in sample
+order.
 
-Each output element of a forward is one dot product of length ``C*27``.
-The split changes the slab depths, and so how many columns each product
-multiplies, but in the OpenBLAS that numpy ships not the order of that dot
-product: for the benchmark's five 72^3 blocks, plain and fused, with the
-first-maximum record on and off, a split B=1 forward is bitwise row 0 of a
-B=2 call on 1, 2 and 3 workers, and the B=1 and B=8 outputs are bitwise
-those before the split.  A backward's slab depths depend on ``C``, ``D``,
-``H`` and ``W`` only, never on the batch size.  Each sample's output and
-input gradient depend only on that sample.  So a sample's rows come out
-bitwise identical whatever the batch, and every result is bitwise the same
-inline or pooled, whatever the worker count or the order the tasks ran in.
+A one-channel input keeps one row per tap: :func:`_shifts` is 1, and the
+same code copies 27 rows of ``n*P`` columns and multiplies ``(O, 27)``
+weights, bitwise the unfolded lowering.  Folded too, the first 72^3 block
+(1 to 8 channels, so an inner dimension of 9) was slower: per sample on one
+thread (median of 30 forwards and 20 backwards), its fused forward took
+9.45 against 7.9-8.1 ms and its backward 14.7 against 12.2-12.8 ms.
+Folding took the second block's fused forward from 7.0-7.3 to 4.9-5.1 ms
+and its backward from 12.9-13.4 to 9.1-9.4 ms, the third's from 3.1-3.2 to
+1.9-2.0 ms and from 4.6-4.7 to 3.5-3.6 ms, and the fourth's from 0.91-0.93
+to 0.79-0.80 ms and from 2.0 to 1.55 ms; the fifth's forward went from 0.49
+to 0.55 ms and its backward from 1.10 to 1.05 ms.
+
+A slab holds ``dz`` depths (at least one, at most ``D``; :func:`_slab_depth`)
+such that its column rows and stacked product rows, ``(C*9 + 3*O)*dz*P``
+elements, fit ``_SLAB``; a one-channel input counts its ``27*dz*P`` column
+elements alone, as it did before the fold.  So the buffers hold at most
+about 5 MB in float32 unless one depth alone needs more, and a slab is
+multiplied while its columns are still warm in cache.  Each task allocates
+one column buffer and one product or gradient stack of that fixed size,
+which serve every slab of its range, so two workers hold about as much
+buffer memory as one 10 MB buffer; no call maps a whole sample's or batch's
+columns.  The benchmark's five 72^3 blocks take slabs of 8, 7, 13, 9 and 4
+depths (fused: 8, 6, 12, 8 and 4), so 9, 6, 2, 1 and 1 slabs per sample.
+Counting the columns alone, the benchmark's 72^3 B=8 training peaked at
+167.8 and 169.2 MB (seeds 1 and 2) at the same speed; counting both, at
+161.3 and 162.0 MB, against a median of 162.7 MB unfolded.
+
+Each output element of a forward is the sum, in ``k`` order, of ``S``
+dot products of length ``C*27/S`` (``S = _shifts(C)``).  For ``S = 3`` this
+is another summation order than the unfolded lowering's, and the outputs
+differ from it in float32 rounding.  The split changes the slab depths, and
+so how many columns each product multiplies, but in the OpenBLAS that numpy
+ships not the order of any of those dot products: for the benchmark's five
+72^3 blocks, plain and fused, with the first-maximum record on and off, a
+split B=1 forward is bitwise row 0 of a B=2 call on 1, 2 and 3 workers.  A
+backward's slab depths depend on ``C``, ``O``, ``D``, ``H`` and ``W``
+only, never on the batch size.  Each sample's output and input gradient
+depend only on that sample.  So a sample's rows come out bitwise identical
+whatever the batch, and every result is bitwise the same inline or pooled,
+whatever the worker count or the order the tasks ran in.
 
 Max pooling folds the eight stride-2 views of each sample, in ``(a, b, c)``
 offset order, with ``np.maximum``.  The backward pass zeroes the sample's
@@ -139,15 +175,16 @@ float32) and a few uint8 passes; inference records nothing.
 :func:`conv_block_backward` runs the same slab loop as the conv backward.
 For each slab, its fill masks the pooled gradient by ``out > 0`` (the
 ReLU), routes each value through its code into the zero-bordered ``gext``,
-and gives the other seven voxels of each block +0.  The three steps above
-follow unchanged.  The bias gradient is the sum of the masked pooled
+and gives the other seven voxels of each block +0.  The shifted copies and
+the three products above follow unchanged.  The bias gradient is the sum of the masked pooled
 gradient, per slab, and the tasks' sums are added in sample order.  Traced
 over one 72^3 B=8 training step (2 vCPUs), the peak allocation fell from
 323 MiB with three ops, which held block 0's 91 MiB conv output and its
 gradient together, to 57.5 MiB.
 
-``_SLAB`` is 5 MB rather than 4 because of the even rule: at 4 MB it cut
-the second 72^3 block's slabs from 3 depths to 2.  One B=8 training step
+``_SLAB`` is 5 MB rather than 4 because of the even rule: before the fold,
+when it counted the columns alone, 4 MB cut the second 72^3 block's slabs
+from 3 depths to 2.  One B=8 training step
 (forward and backward, one process, 2 vCPUs) took 291-317 ms with 4 MB
 slabs and 250-258 ms with 5 MB, against 329-386 ms for three-op blocks
 with 4 MB slabs.  B=1 ``predict``'s traced peak grew from 7.5 to 8.9 MiB,
@@ -274,21 +311,44 @@ def _task_context() -> contextvars.Context:
     return ctx
 
 
-def _plane_offsets(H, W):
-    """The flat offset of each tap in a padded plane grid of ``(H + 2) * (W + 2)`` points per depth."""
-    return [(i * (H + 2) + j) * (W + 2) + k for i, j, k in _TAPS]
+def _shifts(C):
+    """How many ``k`` taps one product row serves: 3 for an input of several channels, 1 for one."""
+    return 3 if C > 1 else 1
 
 
-def _slab_depth(shape, even, budget):
-    """``(depths, dz)`` for one ``(C, D, H, W)`` sample and a column buffer of ``budget`` elements.
+def _row_offsets(H, W, S):
+    """The padded-plane offsets of the taps the column rows start from: all 27 at ``S = 1``, ``(i, j, 0)`` at ``S = 3``."""
+    return [(i * (H + 2) + j) * (W + 2) + k for i, j, k in _TAPS[::S]]
+
+
+def _stacked(w, dtype):
+    """The ``(S*O, C*27/S)`` weight matrix of ``(O, C, 3, 3, 3)`` weights: row block ``k`` holds ``w[..., k::S]``."""
+    O, C = w.shape[:2]
+    S = _shifts(C)
+    return w.astype(dtype, copy=False).reshape(O, C, 27 // S, S).transpose(3, 0, 1, 2).reshape(S * O, C * 27 // S)
+
+
+def _unstacked(gst, shape):
+    """The ``(C*27/S, S*O)`` gradient of :func:`_stacked`'s matrix, transposed, as weights of ``shape``."""
+    O, C = shape[:2]
+    S = _shifts(C)
+    return gst.reshape(C, 27 // S, S, O).transpose(3, 0, 1, 2).reshape(shape)
+
+
+def _slab_depth(shape, O, even, budget):
+    """``(depths, dz)`` for one ``(C, D, H, W)`` sample, ``O`` output channels and ``budget`` buffer elements.
 
     The slabs cover ``depths`` output depths, ``dz`` at a time and fewer in
-    the last.  With ``even``, they cover the ``D // 2 * 2`` depths that a
-    2x2x2 pooling reads, and ``dz`` is even, at least two.
+    the last.  A depth costs its ``C*9`` column rows and ``3*O`` stacked
+    product rows, or, for one input channel, its 27 column rows alone.
+    With ``even``, the slabs cover the ``D // 2 * 2`` depths that a 2x2x2
+    pooling reads, and ``dz`` is even, at least two.
     """
     C, D, H, W = shape
+    S = _shifts(C)
+    rows = C * 27 if S == 1 else C * 9 + S * O
     depths = D // 2 * 2 if even else D
-    dz = max(1, min(depths, budget // (C * 27 * (H + 2) * (W + 2))))
+    dz = max(1, min(depths, budget // (rows * (H + 2) * (W + 2))))
     if even:
         dz = max(2, dz // 2 * 2)
     return depths, dz
@@ -306,116 +366,136 @@ def _plane_slabs(flat, shape, dz, lo, hi):
     """Yield ``(z0, n, cols)`` for each slab of ``dz`` output depths from ``lo`` to ``hi``, on the padded-plane grid.
 
     ``flat`` is the :func:`_padded` form of one ``(C, D, H, W)`` sample of
-    ``shape``.  ``cols`` is the ``(C*27, n*P)`` column matrix, ``P =
-    (H+2)*(W+2)``, of the ``n`` depths from ``z0`` on, with one column per
-    point of their padded planes: output ``(z, y, x)`` is column ``(z -
-    z0)*P + y*(W+2) + x``.  Row ``c*27 + t`` is one contiguous run of
-    channel ``c``, from tap ``t``'s flat offset on.  The columns of the
-    border (``y >= H`` or ``x >= W``) belong to no output.  Every matrix is
-    a view of one buffer that serves every slab of the range, so it is
-    valid, and may be overwritten, only until the next one is drawn.
+    ``shape``.  ``cols`` is the ``(C*27/S, n*P + S-1)`` column matrix, ``P =
+    (H+2)*(W+2)`` and ``S = _shifts(C)``, of the ``n`` depths from ``z0``
+    on, with one column per point of their padded planes: output ``(z, y,
+    x)`` is column ``(z - z0)*P + y*(W+2) + x``.  Row ``c*27/S + t`` is one
+    contiguous run of channel ``c``, from the flat offset of
+    :func:`_row_offsets`' tap ``t`` on; at ``S = 3`` it serves taps ``(i,
+    j, 0)``, ``(i, j, 1)`` and ``(i, j, 2)``, from its columns ``q``, ``q +
+    1`` and ``q + 2``.  The columns of the border (``y >= H`` or ``x >=
+    W``) belong to no output.  Every matrix is a view of one buffer that
+    serves every slab of the range, so it is valid, and may be overwritten,
+    only until the next one is drawn.
     """
     C, _, H, W = shape
+    S = _shifts(C)
     P = (H + 2) * (W + 2)
-    buf = np.empty(C * 27 * min(dz, hi - lo) * P, dtype=flat.dtype)
-    offsets = _plane_offsets(H, W)
+    T = 27 // S  # rows per channel
+    buf = np.empty(C * T * (min(dz, hi - lo) * P + S - 1), dtype=flat.dtype)
+    offsets = _row_offsets(H, W, S)
     for z0 in range(lo, hi, dz):
         n = min(dz, hi - z0)
-        cols = buf[: C * 27 * n * P].reshape(C, 27, n * P)
+        m = n * P + S - 1
+        cols = buf[: C * T * m].reshape(C, T, m)
         for t, off in enumerate(offsets):
             start = z0 * P + off
-            cols[:, t] = flat[:, start : start + n * P]
-        yield z0, n, cols.reshape(C * 27, n * P)
+            cols[:, t] = flat[:, start : start + m]
+        yield z0, n, cols.reshape(C * T, m)
 
 
 def _split_parts(B, shape, O, even):
     """How many tasks each sample's forward slabs go to: one, unless the batch leaves workers idle.
 
     With fewer samples than workers, a sample is split into as many
-    contiguous ranges of slabs as there are workers per sample, but no more
-    than it has slabs at the full ``_SLAB``, and none smaller than
+    near-equal ranges of depths as there are workers per sample, but no
+    more than it has slabs at the full ``_SLAB``, and none smaller than
     ``_MIN_MACS`` multiply-adds.
     """
     C, D, H, W = shape
-    depths, dz = _slab_depth(shape, even, _SLAB)
+    depths, dz = _slab_depth(shape, O, even, _SLAB)
     parts = min(_worker_count() // max(B, 1), -(-depths // dz))
     while parts > 1 and O * C * 27 * D * H * W < parts * _MIN_MACS:
         parts -= 1
     return max(parts, 1)
 
 
-def _map_forward(x, w2, dtype, even, consume):
+def _map_forward(x, wst, dtype, even, consume):
     """Call ``consume(s, z0, n, prod)`` for every slab of every sample of ``x``, in tasks.
 
-    ``w2`` is the ``(O, C*27)`` weight matrix.  ``prod`` is the slab's
+    ``wst`` is the :func:`_stacked` weight matrix.  ``prod`` is the slab's
     ``(O, n, H+2, W+2)`` convolution without the bias, on its padded planes;
-    its border rows and columns belong to no output.  It lives in one buffer
-    that serves every slab of its task, so it is valid only until the next
-    is drawn.  Each task covers one contiguous range of one sample's slabs:
-    the whole sample, or one of :func:`_split_parts`'s ranges, whose
-    buffers are sized from ``_SLAB // parts`` so that the call holds no more
-    column memory than one unsplit task.  A split sample's tasks read one
-    padded input, built before they start.
+    its border rows and columns belong to no output.  It is row block 0 of
+    the slab's stacked product, into which blocks ``k = 1, 2`` were added
+    shifted by ``k`` columns, in that order.  It lives in one buffer that
+    serves every slab of its task, so it is valid only until the next is
+    drawn.  Each task covers one contiguous range of one sample's depths:
+    the whole sample, or one of :func:`_split_parts`'s near-equal ranges
+    (of even length with ``even``), whose buffers are sized from ``_SLAB //
+    parts`` so that the call holds no more buffer memory than one unsplit
+    task.  A split sample's tasks read one padded input, built before they
+    start.
     """
     B, C, D, H, W = x.shape
-    O = w2.shape[0]
+    S = _shifts(C)
+    O = wst.shape[0] // S
     P = (H + 2) * (W + 2)
     parts = _split_parts(B, x.shape[1:], O, even)
-    depths, dz = _slab_depth(x.shape[1:], even, _SLAB // parts)
-    starts = range(0, depths, dz)
-    edges = [0] + [starts[k * len(starts) // parts] for k in range(1, parts)] + [depths]
+    depths, dz = _slab_depth(x.shape[1:], O, even, _SLAB // parts)
+    unit = 2 if even else 1
+    edges = [depths // unit * k // parts * unit for k in range(parts + 1)]
     flats = [_padded(x[s], dtype) for s in range(B)] if parts > 1 else None
 
     def task(i):
         s, k = divmod(i, parts)
         flat = _padded(x[s], dtype) if flats is None else flats[s]
-        ext = np.empty(O * min(dz, edges[k + 1] - edges[k]) * P, dtype=dtype)
+        ext = np.empty(S * O * (min(dz, edges[k + 1] - edges[k]) * P + S - 1), dtype=dtype)
         for z0, n, cols in _plane_slabs(flat, x.shape[1:], dz, edges[k], edges[k + 1]):
-            prod = ext[: O * n * P].reshape(O, n * P)
-            np.matmul(w2, cols, out=prod)
+            stack = ext[: S * O * (n * P + S - 1)].reshape(S * O, n * P + S - 1)
+            np.matmul(wst, cols, out=stack)
+            prod = stack[:O, : n * P]
+            for t in range(1, S):
+                prod += stack[t * O : (t + 1) * O, t : t + n * P]
             consume(s, z0, n, prod.reshape(O, n, H + 2, W + 2))
 
     _map_tasks(task, B * parts, O * C * 27 * D * H * W // parts, _MIN_MACS)
 
 
-def _sample_gradients(xs, w2t, fill, need_gx, dtype, even=False):
-    """One sample's convolution gradients, slab by slab: ``(gwt, gxs)``.
+def _sample_gradients(xs, wst, fill, need_gx, dtype, even=False):
+    """One sample's convolution gradients, slab by slab: ``(gst, gxs)``.
 
-    ``w2t`` is the ``(C*27, O)`` transposed weight matrix.  For each slab of
+    ``wst`` is the :func:`_stacked` weight matrix.  For each slab of
     ``xs``'s output depths at the full ``_SLAB``, ``fill(gext, z0, n)``
     writes the gradient of the slab's conv outputs into ``gext[:, :, :H,
     :W]``, where ``gext`` is the slab's ``(O, n, H+2, W+2)`` buffer; what it
-    leaves unwritten stays zero.  ``gwt`` is the ``(C*27, O)`` weight
-    gradient and ``gxs`` the ``(C, D, H, W)`` input gradient, or None
-    without ``need_gx``.
+    leaves unwritten stays zero.  ``gst`` is the weight gradient as the
+    transposed ``(C*27/S, S*O)`` stacked matrix (see :func:`_unstacked`) and
+    ``gxs`` the ``(C, D, H, W)`` input gradient, or None without
+    ``need_gx``.
     """
     C, D, H, W = xs.shape
-    O = w2t.shape[1]
+    S = _shifts(C)
+    O = wst.shape[0] // S
     P = (H + 2) * (W + 2)
-    offsets = _plane_offsets(H, W)
-    depths, dz = _slab_depth(xs.shape, even, _SLAB)
-    gwt = np.zeros((C * 27, O), dtype=dtype)
+    offsets = _row_offsets(H, W, S)
+    depths, dz = _slab_depth(xs.shape, O, even, _SLAB)
+    gst = np.zeros((C * 27 // S, S * O), dtype=dtype)
     gflat = np.zeros((C, (D + 3) * P), dtype=dtype) if need_gx else None
-    gext = None
+    # row block k is gext shifted right by k columns; every row keeps the deepest slab's stride
+    gstack = np.zeros((S * O, dz * P + S - 1), dtype=dtype)
+    gext = gstack[:O]
     for z0, n, cols in _plane_slabs(_padded(xs, dtype), xs.shape, dz, 0, depths):
-        if gext is None:  # the first slab is the deepest; its border stays zero
-            gext = np.zeros((O, n, H + 2, W + 2), dtype=dtype)
-        fill(gext[:, :n], z0, n)
-        gslab = gext[:, :n].reshape(O, n * P)
+        m = n * P + S - 1
+        # a shorter slab's tail past its n planes still holds the previous slab's gradient
+        gext[:, n * P : m] = 0
+        fill(gext[:, : n * P].reshape(O, n, H + 2, W + 2), z0, n)
+        for t in range(1, S):
+            gstack[t * O : (t + 1) * O, t:m] = gext[:, : m - t]
+        gslab = gstack[:, :m]
         # np.dot, not matmul: on two threads, matmul's thin products with
         # an output as small as 27 x 8 ran no faster than on one
-        gwt += np.dot(cols, gslab.T)
+        gst += np.dot(cols, gslab.T)
         if not need_gx:
             continue
-        # col2im: the slab's column gradient, added back one contiguous run per tap and channel
-        np.matmul(w2t, gslab, out=cols)
-        taps = cols.reshape(C, 27, n * P)
+        # col2im: the slab's column gradient, added back one contiguous run per row tap and channel
+        np.matmul(wst.T, gslab, out=cols)
+        taps = cols.reshape(C, 27 // S, m)
         for t, off in enumerate(offsets):
             start = z0 * P + off
-            gflat[:, start : start + n * P] += taps[:, t]
+            gflat[:, start : start + m] += taps[:, t]
     if not need_gx:
-        return gwt, None
-    return gwt, gflat.reshape(C, D + 3, H + 2, W + 2)[:, 1 : D + 1, 1:-1, 1:-1]
+        return gst, None
+    return gst, gflat.reshape(C, D + 3, H + 2, W + 2)[:, 1 : D + 1, 1:-1, 1:-1]
 
 
 def _sum_in_order(parts):
@@ -435,7 +515,6 @@ def conv3d_forward(x, w, bias):
     B, C, D, H, W = x.shape
     O = w.shape[0]
     dtype = np.result_type(x, w, bias)
-    w2 = w.reshape(O, -1).astype(dtype, copy=False)
     b = bias.astype(dtype, copy=False)[:, None, None, None]
     out = np.empty((B, O, D, H, W), dtype=dtype)
 
@@ -443,7 +522,7 @@ def conv3d_forward(x, w, bias):
         # the bias goes on as the slab's interior is copied out
         np.add(prod[:, :, :H, :W], b, out=out[s, :, z0 : z0 + n])
 
-    _map_forward(x, w2, dtype, False, consume)
+    _map_forward(x, _stacked(w, dtype), dtype, False, consume)
     return out
 
 
@@ -456,20 +535,20 @@ def conv3d_backward(x, w, gout, need_gx: bool = True):
     B, C, D, H, W = x.shape
     O = w.shape[0]
     dtype = np.result_type(x, w, gout)
-    w2t = w.reshape(O, C * 27).astype(dtype, copy=False).T
+    wst = _stacked(w, dtype)
     gx = np.empty(x.shape, dtype=dtype) if need_gx else None
 
     def sample(s):
         def fill(gext, z0, n):
             gext[:, :, :H, :W] = gout[s, :, z0 : z0 + n]
 
-        gwt, gxs = _sample_gradients(x[s], w2t, fill, need_gx, dtype)
+        gst, gxs = _sample_gradients(x[s], wst, fill, need_gx, dtype)
         if need_gx:
             gx[s] = gxs
-        return gwt
+        return gst
 
-    gwt = _sum_in_order(_map_tasks(sample, B, O * C * 27 * D * H * W, _MIN_MACS))
-    return gx, gwt.T.reshape(w.shape), gout.sum(axis=(0, 2, 3, 4))
+    gst = _sum_in_order(_map_tasks(sample, B, O * C * 27 * D * H * W, _MIN_MACS))
+    return gx, _unstacked(gst, w.shape), gout.sum(axis=(0, 2, 3, 4))
 
 
 def conv_block_forward(x, w, bias, record: bool = False):
@@ -484,7 +563,6 @@ def conv_block_forward(x, w, bias, record: bool = False):
     O = w.shape[0]
     H2, W2 = H // 2 * 2, W // 2 * 2
     dtype = np.result_type(x, w, bias)
-    w2 = w.reshape(O, -1).astype(dtype, copy=False)
     b = bias.astype(dtype, copy=False)[:, None, None, None]
     out = np.empty((B, O, D // 2, H // 2, W // 2), dtype=dtype)
     first = np.empty(out.shape, dtype=np.uint8) if record else None
@@ -511,7 +589,7 @@ def conv_block_forward(x, w, bias, record: bool = False):
         np.add(pooled, b, out=pooled)
         np.maximum(pooled, 0.0, out=pooled)
 
-    _map_forward(x, w2, dtype, True, consume)
+    _map_forward(x, _stacked(w, dtype), dtype, True, consume)
     return out, first
 
 
@@ -528,7 +606,7 @@ def conv_block_backward(x, w, out, first, gout, need_gx: bool = True):
     O = w.shape[0]
     H2, W2 = H // 2 * 2, W // 2 * 2
     dtype = np.result_type(x, w, gout)
-    w2t = w.reshape(O, C * 27).astype(dtype, copy=False).T
+    wst = _stacked(w, dtype)
     gx = np.empty(x.shape, dtype=dtype) if need_gx else None
 
     def sample(s):
@@ -543,14 +621,14 @@ def conv_block_backward(x, w, out, first, gout, need_gx: bool = True):
             for k, (a, c, e) in enumerate(_OFFSETS):
                 gext[:, a::2, c:H2:2, e:W2:2] = np.where(code == k, live, 0)
 
-        gwt, gxs = _sample_gradients(x[s], w2t, fill, need_gx, dtype, even=True)
+        gst, gxs = _sample_gradients(x[s], wst, fill, need_gx, dtype, even=True)
         if need_gx:
             gx[s] = gxs
-        return gwt, gb
+        return gst, gb
 
     parts = _map_tasks(sample, B, O * C * 27 * D * H * W, _MIN_MACS)
-    gwt = _sum_in_order([p[0] for p in parts])
-    return gx, gwt.T.reshape(w.shape), _sum_in_order([p[1] for p in parts])
+    gst = _sum_in_order([p[0] for p in parts])
+    return gx, _unstacked(gst, w.shape), _sum_in_order([p[1] for p in parts])
 
 
 def _views(x):

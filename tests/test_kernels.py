@@ -158,14 +158,18 @@ class TestSlabs(Inline):
     """Odd shapes split into several slabs of output depths, with a shorter tail.
 
     ``_SLAB`` is set so that ``_plane_slabs``, which every pass draws its
-    slabs from, gives slabs of ``DEPTH`` depths.  A fused block's slabs
+    slabs from, gives slabs of ``DEPTH`` depths: each depth costs ``C*9``
+    column rows and ``3*O`` stacked product rows.  A fused block's slabs
     cover the 6 depths it pools, ``DEPTH`` rounded down to even, at least 2.
     ``SLABS`` maps ``even`` to the ``(z0, n)`` schedule each sample draws in
-    one task.  Pooled, on two workers, a single sample's forward splits into
-    the two tasks of ``SPLIT[even]``, whose slabs are drawn at ``_SLAB // 2``.
+    one task.  Pooled, on two workers, a single sample's forward splits its
+    depths into the two near-equal ranges of ``SPLIT[even]`` (3 and 4
+    depths, or 2 and 4 pooled ones), whose slabs are drawn at ``_SLAB //
+    2``.
     """
 
     SHAPE = (2, 3, 7, 14, 16)  # D = 7: slabs of 3, 3 and 1 depths when DEPTH = 3; H != W
+    O = 4
     DEPTH = 3
     SLABS = {False: [(0, 3), (3, 3), (6, 1)], True: [(0, 2), (2, 2), (4, 2)]}
     SPLIT = {False: [[(z, 1) for z in range(3)], [(z, 1) for z in range(3, 7)]], True: [[(0, 2)], [(2, 2), (4, 2)]]}
@@ -173,7 +177,7 @@ class TestSlabs(Inline):
     @pytest.fixture(autouse=True)
     def slabs_of_depth(self, monkeypatch, dispatch):
         _, C, _, H, W = self.SHAPE
-        monkeypatch.setattr(_kernels, "_SLAB", self.DEPTH * C * 27 * (H + 2) * (W + 2))
+        monkeypatch.setattr(_kernels, "_SLAB", self.DEPTH * (C * 9 + 3 * self.O) * (H + 2) * (W + 2))
         drawn = []  # per task: its slabs, and whether it ran on the calling thread
         builder = _kernels._plane_slabs
 
@@ -197,13 +201,13 @@ class TestSlabs(Inline):
         rng = np.random.default_rng(seed)
         shape = self.SHAPE if B is None else (B,) + self.SHAPE[1:]
         x = rng.standard_normal(shape).astype(dtype)
-        w = rng.standard_normal((4, shape[1], 3, 3, 3)).astype(dtype)
-        gout = rng.standard_normal((shape[0], 4) + shape[2:]).astype(dtype)
+        w = rng.standard_normal((self.O, shape[1], 3, 3, 3)).astype(dtype)
+        gout = rng.standard_normal((shape[0], self.O) + shape[2:]).astype(dtype)
         return x, w, gout
 
     def test_forward_matches_shifted_sum(self):
         x, w, _ = self._operands(50)
-        bias = np.random.default_rng(51).standard_normal(4)
+        bias = np.random.default_rng(51).standard_normal(self.O)
         np.testing.assert_allclose(_kernels.conv3d_forward(x, w, bias), _direct_conv(x, w, bias), rtol=1e-12, atol=1e-12)
 
     def test_gradients_match_adjoint_sums(self):
@@ -236,7 +240,7 @@ class TestSlabs(Inline):
 
     def test_batch_rows_bitwise_equal_single_samples(self):
         x, w, gout = self._operands(54, B=3, dtype=np.float32)
-        bias = np.random.default_rng(55).standard_normal(4).astype(np.float32)
+        bias = np.random.default_rng(55).standard_normal(self.O).astype(np.float32)
         out = _kernels.conv3d_forward(x, w, bias)
         gx = _kernels.conv3d_backward(x, w, gout)[0]
         for s in range(3):
@@ -247,8 +251,8 @@ class TestSlabs(Inline):
     def _block_operands(self, seed, B=None, dtype=np.float64):
         x, w, _ = self._operands(seed, B, dtype)
         rng = np.random.default_rng(seed + 100)
-        bias = rng.standard_normal(4).astype(dtype)
-        gout = rng.standard_normal(x.shape[:1] + (4,) + tuple(n // 2 for n in x.shape[2:])).astype(dtype)
+        bias = rng.standard_normal(self.O).astype(dtype)
+        gout = rng.standard_normal(x.shape[:1] + (self.O,) + tuple(n // 2 for n in x.shape[2:])).astype(dtype)
         return x, w, bias, gout
 
     @pytest.mark.parametrize("need_gx", [True, False], ids=["gx", "no-gx"])
@@ -288,11 +292,130 @@ class TestFourDepthSlabs(TestSlabs):
 
     DEPTH = 4
     SLABS = {False: [(0, 4), (4, 3)], True: [(0, 4), (4, 2)]}
-    SPLIT = {False: [[(0, 2), (2, 2)], [(4, 2), (6, 1)]], True: [[(0, 2)], [(2, 2), (4, 2)]]}
+    SPLIT = {False: [[(0, 2), (2, 1)], [(3, 2), (5, 2)]], True: [[(0, 2)], [(2, 2), (4, 2)]]}
 
 
 class TestFourDepthSlabsPooled(TestFourDepthSlabs):
     POOLED = True
+
+
+def _rel_err(got, ref):
+    """The largest absolute difference over the reference's largest magnitude."""
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def _routed(conv, gout):
+    """A block's conv-output gradient: ``gout`` where the ReLU passes, on each pooled block's first maximum."""
+    pooled = _first_max_pool(conv, gout)[0]
+    return _first_max_pool(conv, np.where(pooled > 0, gout, 0.0))[1]
+
+
+class TestFoldedLowering(Inline):
+    """Several input channels: each column row serves three k taps, and the last slab is shorter.
+
+    ``_SLAB`` is set for slabs of 4 depths: the conv's 7 depths make slabs of
+    4 and 3, and the fused block's 6 pooled depths slabs of 4 and 2.  So the
+    last slab's gradient stack reuses the rows of a deeper one.
+    """
+
+    SHAPE, O = (2, 4, 7, 5, 6), 3
+
+    @pytest.fixture(autouse=True)
+    def short_last_slab(self, monkeypatch, dispatch):
+        _, C, D, H, W = self.SHAPE
+        monkeypatch.setattr(_kernels, "_SLAB", 4 * (C * 9 + 3 * self.O) * (H + 2) * (W + 2))
+        for even, depths in ((False, 7), (True, 6)):
+            assert _kernels._slab_depth(self.SHAPE[1:], self.O, even, _kernels._SLAB) == (depths, 4)
+
+    def test_forward_and_gradients_match_adjoint_sums(self):
+        rng = np.random.default_rng(80)
+        x = rng.standard_normal(self.SHAPE)
+        w = rng.standard_normal((self.O, self.SHAPE[1], 3, 3, 3))
+        bias = rng.standard_normal(self.O)
+        gout = rng.standard_normal((2, self.O) + self.SHAPE[2:])
+        assert _rel_err(_kernels.conv3d_forward(x, w, bias), _direct_conv(x, w, bias)) <= 1e-12
+        for got, ref in zip(_kernels.conv3d_backward(x, w, gout), _adjoint_sums(x, w, gout)):
+            assert _rel_err(got, ref) <= 1e-12
+
+    def test_block_matches_adjoint_sums_of_routed_gradient(self):
+        rng = np.random.default_rng(81)
+        x = rng.standard_normal(self.SHAPE)
+        w = rng.standard_normal((self.O, self.SHAPE[1], 3, 3, 3))
+        bias = rng.standard_normal(self.O)
+        gout = rng.standard_normal((2, self.O) + tuple(n // 2 for n in self.SHAPE[2:]))
+        out, gx, gw, gb = _fused(x, w, bias, gout)
+        conv = _direct_conv(x, w, bias)
+        assert _rel_err(out, np.maximum(_first_max_pool(conv, gout)[0], 0.0)) <= 1e-12
+        for got, ref in zip((gx, gw, gb), _adjoint_sums(x, w, _routed(conv, gout))):
+            assert _rel_err(got, ref) <= 1e-12
+
+
+def _27_tap_passes(x, w, bias, gconv):
+    """A one-channel conv as one 27-row column product per sample: ``(out, gx, gw, gb)``, as the kernels sum them."""
+    B, _, D, H, W = x.shape
+    O = w.shape[0]
+    P = (H + 2) * (W + 2)
+    w27 = w.reshape(O, 27)
+    out = np.empty((B, O, D, H, W), dtype=x.dtype)
+    gx = np.empty(x.shape, dtype=x.dtype)
+    gw = np.zeros((27, O), dtype=x.dtype)
+    for s in range(B):
+        flat = np.zeros((D + 3, H + 2, W + 2), dtype=x.dtype)
+        flat[1 : D + 1, 1:-1, 1:-1] = x[s, 0]
+        flat = flat.reshape(-1)
+        offsets = [(i * (H + 2) + j) * (W + 2) + k for i, j, k in TAPS]
+        cols = np.stack([flat[off : off + D * P] for off in offsets])
+        out[s] = (w27 @ cols).reshape(O, D, H + 2, W + 2)[:, :, :H, :W] + bias[:, None, None, None]
+        gext = np.zeros((O, D, H + 2, W + 2), dtype=x.dtype)
+        gext[:, :, :H, :W] = gconv[s]
+        gslab = gext.reshape(O, D * P)
+        gw += np.zeros((27, O), dtype=x.dtype) + np.dot(cols, gslab.T)
+        gcols = w27.T @ gslab
+        gflat = np.zeros((D + 3) * P, dtype=x.dtype)
+        for t, off in enumerate(offsets):
+            gflat[off : off + D * P] += gcols[t]
+        gx[s, 0] = gflat.reshape(D + 3, H + 2, W + 2)[1 : D + 1, 1:-1, 1:-1]
+    return out, gx, gw.T.reshape(w.shape), gconv.sum(axis=(0, 2, 3, 4))
+
+
+class TestOneChannel(Inline):
+    """One input channel keeps the 27-row lowering: bitwise the test's own product, in one slab."""
+
+    @pytest.fixture
+    def operands(self):
+        rng = np.random.default_rng(82)
+        x = rng.standard_normal((2, 1, 6, 5, 7)).astype(np.float32)
+        w = rng.standard_normal((4, 1, 3, 3, 3)).astype(np.float32)
+        bias = rng.standard_normal(4).astype(np.float32)
+        assert _kernels._slab_depth(x.shape[1:], 4, False, _kernels._SLAB) == (6, 6)  # one slab
+        return x, w, bias, rng
+
+    def test_conv_bitwise_equal_27_tap_product(self, operands):
+        x, w, bias, rng = operands
+        gout = rng.standard_normal((2, 4, 6, 5, 7)).astype(np.float32)
+        got = (_kernels.conv3d_forward(x, w, bias), *_kernels.conv3d_backward(x, w, gout))
+        for g, r in zip(got, _27_tap_passes(x, w, bias, gout)):
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+
+    def test_block_bitwise_equal_27_tap_product(self, operands):
+        x, w, bias, rng = operands
+        gout = rng.standard_normal((2, 4, 3, 2, 3)).astype(np.float32)
+        out, first = _kernels.conv_block_forward(x, w, bias, record=True)
+        # the pooling of the raw sums, bias and ReLU after it; the gradient through each block's recorded first maximum
+        raw = _27_tap_passes(x, w, np.zeros_like(bias), np.zeros((2, 4, 6, 5, 7), np.float32))[0]
+        views = [raw[:, :, a:6:2, c:4:2, e:6:2] for a, c, e in _kernels._OFFSETS]
+        pooled = np.maximum(views[0], views[1])
+        for v in views[2:]:
+            pooled = np.maximum(pooled, v)
+        assert out.tobytes() == np.maximum(pooled + bias[:, None, None, None], 0.0).tobytes()
+        live = np.where(out > 0, gout, 0)
+        gconv = np.zeros((2, 4, 6, 5, 7), np.float32)
+        for k, (a, c, e) in enumerate(_kernels._OFFSETS):
+            gconv[:, :, a:6:2, c:4:2, e:6:2] = np.where(first == k, live, 0)
+        gb = live[0].sum(axis=(1, 2, 3)) + live[1].sum(axis=(1, 2, 3))  # per sample, then in sample order
+        got = _kernels.conv_block_backward(x, w, out, first, gout)
+        for g, r in zip(got, (*_27_tap_passes(x, w, bias, gconv)[1:3], gb)):
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
 
 
 def _identity_weights(C):
@@ -408,6 +531,24 @@ class TestMaxPoolPooled(TestMaxPool):
 # (C, O, side) of each conv block of the benchmark's networks (bench/workloads.py)
 TRAIN_PAPER_BLOCKS = [(1, 8, 72), (8, 16, 36), (16, 32, 18), (32, 64, 9), (64, 128, 4)]
 XVAL_CALCANEUS_BLOCKS = [(1, 4, 32), (4, 8, 16), (8, 16, 8)]
+
+
+class TestXvalCalcaneusBlocks(Inline):
+    """The cross-validation network's blocks, one input channel and several, against the float64 references."""
+
+    @pytest.mark.parametrize("block", range(len(XVAL_CALCANEUS_BLOCKS)))
+    def test_passes_match_references(self, block):
+        C, O, side = XVAL_CALCANEUS_BLOCKS[block]
+        rng = np.random.default_rng(90 + block)
+        x = rng.standard_normal((2, C, side, side, side))
+        w = rng.standard_normal((O, C, 3, 3, 3))
+        bias = rng.standard_normal(O)
+        gout = rng.standard_normal((2, O) + (side,) * 3)
+        assert _rel_err(_kernels.conv3d_forward(x, w, bias), _direct_conv(x, w, bias)) <= 1e-12
+        for got, ref in zip(_kernels.conv3d_backward(x, w, gout), _adjoint_sums(x, w, gout)):
+            assert _rel_err(got, ref) <= 1e-12
+        gpool = rng.standard_normal((2, O) + (side // 2,) * 3)
+        _assert_block_matches(_fused(x, w, bias, gpool), _three_ops(x, w, bias, gpool), 1e-12)
 
 
 MAP_TASKS = _kernels._map_tasks
@@ -536,8 +677,9 @@ class TestDispatch:
         w = (rng.standard_normal((O, C, 3, 3, 3)) / np.sqrt(27 * C)).astype(np.float32)
         bias = rng.standard_normal(O).astype(np.float32)
         for even in (False, True):
+            # b0, b1 and b2 have 9, 6 and 2 slabs at the full _SLAB; b3 and b4 fit in one
             split = _kernels._split_parts(1, x.shape[1:], O, even)
-            assert split == (min(workers, 3) if workers > 1 and block < 3 else 1)
+            assert split == min(workers, [9, 6, 2, 1, 1][block])
             assert _kernels._split_parts(2, x.shape[1:], O, even) == 1
         row = _kernels.conv3d_forward(x, w, bias)[0]
         assert _kernels.conv3d_forward(x[:1], w, bias)[0].tobytes() == row.tobytes()
