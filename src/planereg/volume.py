@@ -96,13 +96,19 @@ class WindowConfig:
 WINDOW = WindowConfig()
 
 
-# points per interpolation chunk, and so per pool task of a pass: each
-# chunk's float64 temporaries (256 KB each) stay in malloc's heap, where a
-# whole grid's would be mapped and faulted in afresh on every call.  A pass
-# of more than one chunk runs its chunks on the kernels' thread pool, and
-# each numpy call on a chunk releases the interpreter lock long enough for
-# two chunks to overlap: eight 72^3 resamples on two threads took 0.55x
-# their one-thread time, where 8192-point chunks took 1.1x
+# points per interpolation chunk, and so per pool task of a pass.  A chunk
+# works on (3, m) float64 axes (768 KB each), an (8, m) intp corner index
+# (2 MB) and (4, m), (2, m) and (1, m) float64 lerps; in a process that has
+# freed a larger block these stay in malloc's heap, where a whole grid's
+# would be mapped and faulted in afresh on every call.  A pass of more than
+# one chunk runs its chunks on the kernels' thread pool.  Each chunk makes
+# about 25 numpy calls, all three axes or all eight corners in each, where
+# one call per axis and per corner made about 80: eight 72^3 resamples from
+# 64^3 took 52.5-53.9 ms on one thread and 48.6-49.6 ms on two, against
+# 61.9-62.8 and 57.9-58.2 ms (2 vCPUs).  Two processes doing the same work
+# side by side took 88.6-89.1 ms each, so on those vCPUs the second thread
+# gains little more than a second process would.  With 8192-point chunks,
+# the pooled fill of the per-axis sampler took 1.1x its one-thread time
 _CHUNK = 32768
 
 
@@ -113,9 +119,9 @@ def trilinear_sample(vol: Volume, points: np.ndarray) -> np.ndarray:
     surrounding voxel centers; points outside the voxel-center hull, and
     NaN or infinite points, return the air fill value of -1024 HU.  The
     points are taken ``_CHUNK`` at a time, and each chunk works on its
-    coordinate columns ``points[..., d]`` one axis at a time.  A
+    ``(3, m)`` transpose, all three axes in each numpy call.  A
     component-major view, ``np.moveaxis(pts, 0, -1)`` of a ``(3, ...)``
-    array, makes those columns contiguous and is read without a copy.
+    array, makes that transpose contiguous and is read without a copy.
     Every point's value is the same whatever the chunking or the layout.
     """
     p = np.asarray(points)
@@ -124,18 +130,18 @@ def trilinear_sample(vol: Volume, points: np.ndarray) -> np.ndarray:
     out_shape = p.shape[:-1]
     p = p.reshape(-1, 3)
     starts = range(0, len(p), _CHUNK)
-    return _sample(vol, len(p), starts, lambda i: p[starts[i] : starts[i] + _CHUNK]).reshape(out_shape)
+    return _sample(vol, len(p), starts, lambda i: p[starts[i] : starts[i] + _CHUNK].T).reshape(out_shape)
 
 
 def _sample(vol: Volume, n: int, starts, points) -> np.ndarray:
     """One counted interpolation pass over ``n`` points, in chunks.
 
     Chunk ``i`` fills ``out[starts[i]:starts[i + 1]]`` (the last one up to
-    ``n``) from the ``(m, 3)`` points that ``points(i)`` returns.  The chunks
-    are pool tasks (``_kernels._run_tasks``), each of which builds its own
-    points and writes only its own range, so a pass of one chunk, or one
-    made from inside a pooled task, runs inline.  Every value is bitwise the
-    same whichever thread computed it.
+    ``n``) from the ``(3, m)`` component-major points that ``points(i)``
+    returns.  The chunks are pool tasks (``_kernels._run_tasks``), each of
+    which builds its own points and writes only its own range, so a pass of
+    one chunk, or one made from inside a pooled task, runs inline.  Every
+    value is bitwise the same whichever thread computed it.
     """
     global _INTERP_CALLS
     with _INTERP_LOCK:
@@ -159,37 +165,34 @@ def _sample(vol: Volume, n: int, starts, points) -> np.ndarray:
 
 
 def _trilinear(flat, strides, dims, spacing, p):
-    """Values at the ``(n, 3)`` points ``p`` of the grid ``flat`` of shape ``dims``."""
+    """Values at the ``(3, m)`` component-major points ``p`` of the grid ``flat`` of shape ``dims``."""
     eps = 1e-9
-    inside = np.ones(len(p), dtype=bool)
-    base = np.zeros(len(p))
-    frac = []
-    for col, n, s, stride in zip(p.T, dims, spacing, strides):
-        u = np.divide(col, s, dtype=np.float64)  # voxel index coordinate
-        u += (n - 1) / 2.0
-        # fmax and fmin drop NaN: NaN and infinite points land outside the
-        # hull at finite coordinates, so the lerps below raise no warnings
-        np.fmax(u, -1.0, out=u)
-        np.fmin(u, float(n), out=u)
-        inside &= u >= -eps
-        inside &= u <= n - 1.0 + eps
-        cell = np.clip(np.floor(u), 0.0, n - 2.0)
-        u -= cell
-        frac.append(u)
-        cell *= stride
-        base += cell  # exact: flat indices are integers far below 2**53
-    idx = base.astype(np.intp)
+    n = np.array(dims, dtype=np.float64)[:, None]
+    u = np.divide(p, np.array(spacing)[:, None], dtype=np.float64)  # voxel index coordinates
+    u += (n - 1) / 2.0
+    # fmax and fmin drop NaN: NaN and infinite points land outside the
+    # hull at finite coordinates, so the cast and the lerps below raise no warnings
+    np.fmax(u, -1.0, out=u)
+    np.fmin(u, n, out=u)
+    inside = u >= -eps
+    inside &= u <= n - 1.0 + eps
+    inside = inside.all(axis=0)
+    cell = np.clip(np.floor(u), 0.0, n - 2.0)
+    u -= cell
+    cell *= np.array(strides, dtype=np.float64)[:, None]
+    base = cell.sum(axis=0).astype(np.intp)  # exact: flat indices are integers far below 2**53
 
     sx, sy, sz = strides
-    # corners in (x, y, z) bit order, then lerp along z, y and x in turn
-    c = [flat.take(idx + o) for o in (0, sz, sy, sy + sz, sx, sx + sz, sx + sy, sx + sy + sz)]
-    for f in reversed(frac):
-        c = [_lerp(c0, c1, f) for c0, c1 in zip(c[::2], c[1::2])]
+    # the 8 corners in (x, y, z) bit order, gathered at once; then lerp along z, y and x in turn
+    corners = np.array([0, sz, sy, sy + sz, sx, sx + sz, sx + sy, sx + sy + sz], dtype=np.intp)[:, None]
+    c = flat.take(corners + base)
+    for f in u[::-1]:
+        c = _lerp(c[0::2], c[1::2], f)
     return np.where(inside, c[0], FILL_HU)
 
 
 def _lerp(c0, c1, f):
-    """``c0 + f * (c1 - c0)`` in float64, whatever the dtype of the corners."""
+    """``c0 + f * (c1 - c0)`` in float64, whatever the dtype of the corners; ``f`` broadcasts over their rows."""
     r = np.subtract(c1, c0, dtype=np.float64)
     r *= f
     r += c0
@@ -206,7 +209,7 @@ def resample(vol: Volume, T: np.ndarray, out_dims, out_spacing) -> Volume:
     mm.  Each chunk of the pass is a slab of about ``_CHUNK`` points (whole
     z-planes), whose source points it builds one component at a time into a
     ``(3, planes, ny, nx)`` buffer of its own, as outer sums of the scaled
-    grid axes, and samples through its component-major view; no call holds
+    grid axes, and samples it as ``(3, m)`` points; no call holds
     the whole grid's points.  So the points are visited x-fastest, the
     memory order of the volumes :func:`read_volume` returns, and the
     ``(nx, ny, nz)`` output is the transposed view of the ``(nz, ny, nx)``
@@ -241,7 +244,7 @@ def resample(vol: Volume, T: np.ndarray, out_dims, out_spacing) -> Volume:
         pts = np.empty((3, n, ny, nx))
         for d in range(3):
             np.add.outer(z[d][z0 : z0 + n], xy[d], out=pts[d])
-        return np.moveaxis(pts, 0, -1).reshape(-1, 3)
+        return pts.reshape(3, -1)
 
     out = _sample(vol, nx * ny * nz, [z0 * nx * ny for z0 in z0s], slab)
     return Volume(values=out.reshape(nz, ny, nx).T, spacing=spacing)

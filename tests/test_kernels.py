@@ -2,6 +2,7 @@
 
 import itertools
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -478,6 +479,78 @@ class TestBlockPooled(TestBlock):
     POOLED = True
 
 
+def _where_fill(out, first, gout, gb, H, W):
+    """The fused backward's fill as eight masked passes: every voxel of each block gets ``np.where(code == k, live, 0)``."""
+    O = out.shape[0]
+    P = (H + 2) * (W + 2)
+    H2, W2 = H // 2 * 2, W // 2 * 2
+
+    def fill(gext, z0, n):
+        q = slice(z0 // 2, (z0 + n) // 2)
+        live = np.where(out[:, q] > 0, gout[:, q], 0)
+        np.add(gb, live.sum(axis=(1, 2, 3)), out=gb)
+        code = first[:, q]
+        planes = gext[:, : n * P].reshape(O, n, H + 2, W + 2)
+        for k, (a, c, e) in enumerate(_kernels._OFFSETS):
+            planes[:, a::2, c:H2:2, e:W2:2] = np.where(code == k, live, 0)
+
+    return fill
+
+
+class TestBlockRouting(Inline):
+    """The fused backward's scatter to each block's first maximum, bitwise the eight masked passes it replaced.
+
+    ``_SLAB`` is set so that the backward's slabs hold 4 depths: the
+    shape with 7 depths pools 6 of them, in slabs of 4 and 2.
+    """
+
+    O = 4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("dims", [(7, 9, 11), (8, 5, 6)], ids=["odd-short-tail", "even"])
+    @pytest.mark.parametrize("C", [1, 3], ids=["S1", "S3"])
+    def test_scatter_bitwise_equal_masked_passes(self, monkeypatch, C, dims, dtype):
+        D, H, W = dims
+        O = self.O
+        rows = 27 if C == 1 else C * 9 + 3 * O
+        monkeypatch.setattr(_kernels, "_SLAB", 4 * rows * (H + 2) * (W + 2))
+        assert _kernels._slab_depth((C, D, H, W), O, True, _kernels._SLAB) == (D // 2 * 2, 4)
+        rng = np.random.default_rng(73 + C)
+        x = rng.standard_normal((3, C, D, H, W)).astype(dtype)
+        x[1] = 0  # every conv output of a block equals the bias: each block's first voxel takes it
+        x[2] = np.round(x[2])  # ties at the maximum
+        w = np.round(rng.standard_normal((O, C, 3, 3, 3)) * 2).astype(dtype)
+        bias = np.array([0.5, -0.5, 0.25, 0.0], dtype=dtype)
+        out, first = _kernels.conv_block_forward(x, w, bias, record=True)
+        gout = rng.standard_normal(out.shape).astype(dtype)
+        gout[:, :, ::2] = -0.0  # signed zeros must land as they are
+        assert np.any(first[0] > 0) and not np.any(first[1]) and np.any(out > 0) and np.any(out == 0)
+        wst = _kernels._stacked(w, dtype)
+        corners = _kernels._block_corners((C, D, H, W), O)
+
+        def run(fill_of):
+            def sample(s):
+                gb = np.zeros(O, dtype=dtype)
+                gst, gxs = _kernels._sample_gradients(x[s], wst, fill_of(s, gb), True, dtype, even=True)
+                return gst, gxs, gb
+
+            return _kernels._map_tasks(sample, len(x), 0, 0)
+
+        got = run(lambda s, gb: _kernels._block_fill(out[s], first[s], gout[s], gb, corners))
+        ref = run(lambda s, gb: _where_fill(out[s], first[s], gout[s], gb, H, W))
+        for g, r in zip(got, ref):
+            for a, b in zip(g, r):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        gx, gw, gb = _kernels.conv_block_backward(x, w, out, first, gout)
+        assert gx.tobytes() == np.stack([r[1] for r in ref]).tobytes()
+        assert gw.tobytes() == _kernels._unstacked(_kernels._sum_in_order([r[0] for r in ref]), w.shape).tobytes()
+        assert gb.tobytes() == _kernels._sum_in_order([r[2] for r in ref]).tobytes()
+
+
+class TestBlockRoutingPooled(TestBlockRouting):
+    POOLED = True
+
+
 class TestMaxPool(Inline):
     def test_all_equal_block_sends_gradient_to_first_voxel(self):
         x = np.full((1, 1, 2, 2, 2), 0.5)
@@ -705,6 +778,21 @@ class TestDispatch:
         assert not caller.is_alive() and len(results) == 8
         for task_thread, inner in results:
             assert task_thread is not caller and inner == [task_thread] * 4
+
+    def test_error_reaches_caller_after_every_task_finished(self, monkeypatch):
+        force_dispatch(monkeypatch, pooled=True)
+        finished = []
+
+        def task(i):
+            # task 1 fails first, task 0 later: the caller gets task 0's error, and only once its siblings are done
+            time.sleep(0.0 if i == 1 else 0.1)
+            if i < 2:
+                raise ValueError(f"task {i}")
+            finished.append(i)
+
+        with pytest.raises(ValueError, match="task 0"):
+            _kernels._map_tasks(task, 5, 0, 0)
+        assert sorted(finished) == [2, 3, 4]
 
     def test_results_come_in_index_order(self):
         assert _kernels._map_tasks(lambda i: i * i, 16, _kernels._MIN_TASK, _kernels._MIN_TASK) == [i * i for i in range(16)]

@@ -76,6 +76,72 @@ class TestVolumeType:
         assert v.extent_mm == (160.0, 160.0, 160.0)
 
 
+def _per_axis_trilinear(values, spacing, p):
+    """Trilinear samples at the ``(m, 3)`` points ``p``, one coordinate column and one corner gather at a time.
+
+    The sampler's arithmetic, written per axis: the same elementwise
+    operations in the same order, on a C-ordered copy of the source.
+    """
+    src = np.ascontiguousarray(values)
+    flat = src.reshape(-1)
+    strides = [s // src.itemsize for s in src.strides]
+    eps = 1e-9
+    inside = np.ones(len(p), dtype=bool)
+    base = np.zeros(len(p))
+    frac = []
+    for col, n, s, stride in zip(p.T, src.shape, spacing, strides):
+        u = np.divide(col, s, dtype=np.float64)
+        u += (n - 1) / 2.0
+        np.fmax(u, -1.0, out=u)
+        np.fmin(u, float(n), out=u)
+        inside &= u >= -eps
+        inside &= u <= n - 1.0 + eps
+        cell = np.clip(np.floor(u), 0.0, n - 2.0)
+        u -= cell
+        frac.append(u)
+        base += cell * stride
+    idx = base.astype(np.intp)
+    sx, sy, sz = strides
+    c = [flat.take(idx + o) for o in (0, sz, sy, sy + sz, sx, sx + sz, sx + sy, sx + sy + sz)]
+    for f in reversed(frac):
+        c = [(np.subtract(c1, c0, dtype=np.float64) * f) + c0 for c0, c1 in zip(c[::2], c[1::2])]
+    return np.where(inside, c[0], FILL_HU).astype(np.float64 if values.dtype == np.float64 else np.float32)
+
+
+@st.composite
+def trilinear_cases(draw):
+    """``(values, spacing, points)``: a source of 2-7 voxels per axis in one of five layouts, and points around its hull.
+
+    The layouts are int16 in C order, Fortran order and a non-contiguous
+    view, float32 and float64.  Each coordinate is anywhere within 1.2
+    half-extents, on the hull's face, ``eps`` (1e-9 voxels) or one ulp
+    from it on either side, at the centre, NaN or infinite.
+    """
+    shape = draw(st.tuples(*[st.integers(2, 7)] * 3))
+    spacing = draw(st.tuples(*[st.floats(0.25, 4.0)] * 3))
+    layout = draw(st.sampled_from(["C", "F", "strided", "float32", "float64"]))
+    hu = st.integers(int(HU_MIN), int(HU_MAX))
+    if layout in ("float32", "float64"):
+        hu = st.floats(HU_MIN, HU_MAX, width=32 if layout == "float32" else 64)
+    dtype = {"float32": np.float32, "float64": np.float64}.get(layout, np.int16)
+    grid = (shape[0], 2 * shape[1], shape[2]) if layout == "strided" else shape
+    values = draw(hnp.arrays(dtype, grid, elements=hu))
+    if layout == "F":
+        values = np.asfortranarray(values)
+    elif layout == "strided":
+        values = values[:, ::2]
+    m = draw(st.integers(1, 40))
+    cols = []
+    for n, s in zip(shape, spacing):
+        h = (n - 1) / 2.0 * s
+        edges = [0.0, np.nan, np.inf, -np.inf]
+        for e in (h, -h):
+            edges += [e, e + 1e-9 * s, e - 1e-9 * s, np.nextafter(e, np.inf), np.nextafter(e, -np.inf)]
+        coord = st.one_of(st.floats(-1.2 * h, 1.2 * h), st.sampled_from(edges))
+        cols.append(draw(st.lists(coord, min_size=m, max_size=m)))
+    return values, spacing, np.array(cols).T
+
+
 class TestTrilinearSample:
     def test_voxel_center_exact(self):
         rng = np.random.default_rng(0)
@@ -148,6 +214,13 @@ class TestTrilinearSample:
             got_major = trilinear_sample(v, np.moveaxis(np.ascontiguousarray(pts.T), 0, -1))
         assert np.all(got[:-1] == FILL_HU) and got[-1] == 500
         assert np.array_equal(got, got_major)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=trilinear_cases())
+    def test_bitwise_equal_per_axis_formulation(self, case):
+        values, spacing, pts = case
+        got = trilinear_sample(Volume(values=values, spacing=spacing), pts)
+        assert got.tobytes() == _per_axis_trilinear(values, spacing, pts).tobytes()
 
     def test_counter_increments_once_per_call(self):
         v = constant_volume()
