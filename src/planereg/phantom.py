@@ -20,10 +20,18 @@ Ground-truth planes in the canonical frame, all through the shaft center:
 The whole scene is posed by a rigid placement and the annotations are
 transported through the same transform, so labels stay exact by
 construction.
+
+Rendering classifies only the voxels of a conservative box around the posed
+anatomy and its metal, in blocks of at most 2^16 points, and writes int16
+straight into the grid; every other voxel is air.  Time and memory therefore
+follow the box and one block, not float64 grids over every voxel, and each
+voxel gets the same arithmetic, so the same bytes, as a render of the whole
+grid at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -47,6 +55,12 @@ HU_TISSUE = 40.0
 HU_BONE = 700.0
 HU_METAL = 3000.0
 TISSUE_MARGIN_MM = 6.0
+
+# rendering: points per block, and the box's growth beyond the posed corners
+_SLAB_POINTS = 1 << 16
+_BOX_MARGIN_VOXELS = 2
+# (low, high) choice per axis for the 8 corners of a box
+_CORNER_BITS = np.array(list(itertools.product((False, True), repeat=3)))
 
 ORIGIN_CLASSES = ("metal", "metal_outside", "no_metal")
 PLANE_NAMES = {"ankle": ("axial", "sagittal", "coronal"), "calcaneus": ("axial", "sagittal", "semicoronal")}
@@ -122,6 +136,17 @@ def _segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nd
     return np.linalg.norm(points - (a + t[:, None] * ab), axis=1)
 
 
+def _plate_bounds(spec: PhantomSpec, margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical low and high corners of the plate, grown by ``margin``."""
+    # the plate sits off-center along +x, a gross chirality landmark on top of
+    # the unequal condyles, so mirrored volumes are unmistakably different
+    L, r = spec.shaft_length_mm, spec.shaft_radius_mm
+    pw = 2.5 * r + margin
+    lo = np.array([-0.3 * pw, -(r + spec.plate_thickness_mm + margin), -0.45 * L - margin])
+    hi = np.array([0.9 * pw, -r + 1.0 + margin, margin])
+    return lo, hi
+
+
 def _body_masks(spec: PhantomSpec, pts: np.ndarray, margin: float = 0.0):
     """Bone and tissue-hull masks of the canonical body at given points."""
     L, r = spec.shaft_length_mm, spec.shaft_radius_mm + margin
@@ -132,18 +157,8 @@ def _body_masks(spec: PhantomSpec, pts: np.ndarray, margin: float = 0.0):
     cond_a = np.linalg.norm(pts - ca, axis=1) <= spec.condyle_radius_a_mm + margin
     cond_b = np.linalg.norm(pts - cb, axis=1) <= spec.condyle_radius_b_mm + margin
 
-    # the plate sits off-center along +x, a gross chirality landmark on top of
-    # the unequal condyles, so mirrored volumes are unmistakably different
-    pw = 2.5 * spec.shaft_radius_mm + margin
-    y0 = -(spec.shaft_radius_mm + spec.plate_thickness_mm + margin)
-    plate = (
-        (pts[:, 0] >= -0.3 * pw)
-        & (pts[:, 0] <= 0.9 * pw)
-        & (pts[:, 1] >= y0)
-        & (pts[:, 1] <= -spec.shaft_radius_mm + 1.0 + margin)
-        & (pts[:, 2] >= -0.45 * L - margin)
-        & (pts[:, 2] <= margin)
-    )
+    lo, hi = _plate_bounds(spec, margin)
+    plate = np.all((pts >= lo) & (pts <= hi), axis=1)
     return shaft | cond_a | cond_b | plate
 
 
@@ -171,40 +186,100 @@ def _metal_segments(spec: PhantomSpec, rng: np.random.Generator) -> list[tuple[n
     return segments
 
 
+def _voxel_box(spec: PhantomSpec, segments, dims, spacing):
+    """Voxel index bounds ``(start, stop)`` of a box that holds the posed
+    tissue hull and every metal capsule, or ``None`` when it misses the grid.
+
+    The hull's parts (shaft ellipsoid, condyle spheres, plate), grown by the
+    tissue margin, and each segment's capsule are boxed in the canonical
+    frame; the 8 corners of each box are posed, and the posed corners' bounds
+    in voxel units are grown by ``_BOX_MARGIN_VOXELS`` and clipped to the
+    grid.  Every voxel outside the box is air before truncation.
+    """
+    m = TISSUE_MARGIN_MM
+    r, half = spec.shaft_radius_mm + m, spec.shaft_length_mm / 2.0 + m
+    boxes = [(np.array([-r, -r, -half]), np.array([r, r, half])), _plate_bounds(spec, m)]
+    for center, radius in zip(_condyle_centers(spec), (spec.condyle_radius_a_mm, spec.condyle_radius_b_mm)):
+        boxes.append((center - (radius + m), center + (radius + m)))
+    for p0, p1, radius in segments:
+        boxes.append((np.minimum(p0, p1) - radius, np.maximum(p0, p1) + radius))
+    lo, hi = (np.array(side)[:, None, :] for side in zip(*boxes))
+    corners = np.where(_CORNER_BITS, hi, lo).reshape(-1, 3)
+    world = corners @ spec.pose[:3, :3].T + spec.pose[:3, 3]
+    index = world / spacing + (np.array(dims) - 1) / 2.0
+    start = np.maximum(np.floor(index.min(axis=0)) - _BOX_MARGIN_VOXELS, 0)
+    stop = np.minimum(np.ceil(index.max(axis=0)) + _BOX_MARGIN_VOXELS, np.array(dims) - 1) + 1
+    # NaN, from a non-finite pose, fails this comparison too
+    if not np.all(start < stop):
+        return None
+    return start.astype(int), stop.astype(int)
+
+
 def generate_phantom(spec: PhantomSpec, dims, spacing, rng: np.random.Generator):
     """Render one phantom volume plus its three posed plane annotations.
 
+    ``dims`` and ``spacing`` are one value for all three axes or three
+    values: integers of at least 2, and finite positive millimetres.
     Returns ``(Volume, dict name -> PlaneFrame)``.  Raises
     :class:`PhantomGenerationError` when the posed anatomy misses the grid
     entirely.  For a fixed spec and generator state the output is bitwise
     reproducible.
+
+    Only a conservative box around the posed anatomy and metal is rendered
+    (see :func:`_voxel_box`); the rest of the grid stays air.  The box is
+    rendered in blocks of at most ``_SLAB_POINTS`` voxels, whole x-slabs
+    unless one x-plane of the box is larger, and each block's int16 values
+    are written straight into the output grid.  Each voxel is classified by
+    the same arithmetic as a render of the whole grid at once, so the bytes
+    equal that render's, while time and memory follow the box and the block
+    size rather than the grid.
     """
-    dims = (dims, dims, dims) if np.isscalar(dims) else tuple(int(d) for d in dims)
-    spacing = (spacing, spacing, spacing) if np.isscalar(spacing) else tuple(float(s) for s in spacing)
+    dims = (dims,) * 3 if np.isscalar(dims) else tuple(dims)
+    spacing = (spacing,) * 3 if np.isscalar(spacing) else tuple(spacing)
+    # booleans are ints, and `>= 2` rejects them
+    if len(dims) != 3 or not all(isinstance(d, (int, np.integer)) and d >= 2 for d in dims):
+        raise ValueError(f"dims must be integers of at least 2, got {dims}")
+    if len(spacing) != 3 or not all(0.0 < s < np.inf for s in spacing):
+        raise ValueError(f"spacing must be finite and positive, got {spacing}")
+    dims = tuple(int(d) for d in dims)
+    spacing = tuple(float(s) for s in spacing)
+
+    segments = _metal_segments(spec, rng)
+    box = _voxel_box(spec, segments, dims, spacing)
+    if box is None:
+        raise PhantomGenerationError("posed anatomy lies entirely outside the volume")
+    start, stop = box
 
     axes = [(np.arange(n) - (n - 1) / 2.0) * s for n, s in zip(dims, spacing)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    world = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-
     inv = np.linalg.inv(spec.pose)
-    pts = world @ inv[:3, :3].T + inv[:3, 3]
+    hu = np.full(dims, HU_AIR, dtype=np.int16)
+    # block edges: all of the box along z and y when a plane fits, then as many x-planes as fit
+    nx, ny, nz = stop - start
+    bz = min(nz, _SLAB_POINTS)
+    by = min(ny, max(1, _SLAB_POINTS // bz))
+    bx = min(nx, max(1, _SLAB_POINTS // (by * bz)))
+    any_bone = False
+    for corner in itertools.product(*(range(a, b, step) for a, b, step in zip(start, stop, (bx, by, bz)))):
+        block = tuple(slice(a, min(a + step, b)) for a, b, step in zip(corner, stop, (bx, by, bz)))
+        grids = np.meshgrid(*(ax[sl] for ax, sl in zip(axes, block)), indexing="ij")
+        world = np.stack(grids, axis=-1).reshape(-1, 3)
+        pts = world @ inv[:3, :3].T + inv[:3, 3]
 
-    bone = _body_masks(spec, pts)
-    if not np.any(bone):
+        out = hu[block]
+        bone = _body_masks(spec, pts)
+        any_bone = any_bone or bool(bone.any())
+        out[_body_masks(spec, pts, margin=TISSUE_MARGIN_MM).reshape(out.shape)] = HU_TISSUE
+        out[bone.reshape(out.shape)] = HU_BONE
+        for p0, p1, radius in segments:
+            out[(_segment_distance(pts, p0, p1) <= radius).reshape(out.shape)] = HU_METAL
+    if not any_bone:
         raise PhantomGenerationError("posed anatomy lies entirely outside the volume")
-    tissue = _body_masks(spec, pts, margin=TISSUE_MARGIN_MM)
-
-    hu = np.full(pts.shape[0], HU_AIR)
-    hu[tissue] = HU_TISSUE
-    hu[bone] = HU_BONE
-    for p0, p1, radius in _metal_segments(spec, rng):
-        hu[_segment_distance(pts, p0, p1) <= radius] = HU_METAL
 
     if spec.truncation < 1.0:
-        keep = np.abs(world[:, 2]) <= spec.truncation * dims[2] * spacing[2] / 2.0
-        hu[~keep] = -1024.0
+        keep = np.abs(axes[2]) <= spec.truncation * dims[2] * spacing[2] / 2.0
+        hu[:, :, ~keep] = -1024
 
-    vol = Volume(values=hu.reshape(dims).astype(np.int16), spacing=spacing)
+    vol = Volume(values=hu, spacing=spacing)
     planes = {name: transform_plane(spec.pose, frame) for name, frame in canonical_planes(spec).items()}
     return vol, planes
 
@@ -306,11 +381,11 @@ def generate_dataset(
         raise ValueError(f"metal_fraction must lie in [0, 1], got {metal_fraction}")
     if dims < 2:  # a Volume needs 2 voxels per axis
         raise ValueError(f"dims must be at least 2, got {dims}")
-    if not spacing > 0.0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
+    if not 0.0 < spacing < np.inf:
+        raise ValueError(f"spacing must be finite and positive, got {spacing}")
     for key, value in (("pose_rot_deg", pose_rot_deg), ("pose_trans_mm", pose_trans_mm)):
-        if not value >= 0.0:
-            raise ValueError(f"{key} must be non-negative, got {value}")
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"{key} must be finite and non-negative, got {value}")
     os.makedirs(out_dir, exist_ok=True)
 
     n_metal_patients = int(round(metal_fraction * n_patients))

@@ -500,6 +500,9 @@ class TestHelpAndErrors:
             (["pose_rot_deg=-5"], "pose_rot_deg"),
             (["pose_trans_mm=-1"], "pose_trans_mm"),
             (["dims=1"], "dims"),
+            (["spacing=inf"], "spacing"),
+            (["pose_rot_deg=inf"], "pose_rot_deg"),
+            (["pose_trans_mm=inf"], "pose_trans_mm"),
         ],
     )
     def test_phantom_bounds_named(self, tmp_path, capsys, overrides, key):

@@ -1,20 +1,31 @@
 import os
+import subprocess
+import sys
+import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from planereg import phantom
 from planereg.geometry import (
     angle_between_deg,
     compose_transforms,
     read_plane_file,
     rotation_about_axis,
+    rotation_from_euler_zyx,
     rotation_transform,
     translation_transform,
 )
 from planereg.phantom import (
+    HU_AIR,
     HU_BONE,
     HU_METAL,
     HU_TISSUE,
+    PLANE_NAMES,
+    TISSUE_MARGIN_MM,
     ManifestEntry,
     PhantomGenerationError,
     PhantomSpec,
@@ -126,6 +137,111 @@ class TestGeneratePhantom:
                 assert abs(frame.e_u @ frame.e_v) < 1e-9
 
 
+def _whole_grid_render(spec, dims, spacing, rng):
+    """Every voxel of the grid in one pass: the reference that the boxed,
+    blocked renderer must reproduce byte for byte."""
+    axes = [(np.arange(n) - (n - 1) / 2.0) * s for n, s in zip(dims, spacing)]
+    world = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    inv = np.linalg.inv(spec.pose)
+    pts = world @ inv[:3, :3].T + inv[:3, 3]
+    bone = phantom._body_masks(spec, pts)
+    if not np.any(bone):
+        raise PhantomGenerationError("posed anatomy lies entirely outside the volume")
+    tissue = phantom._body_masks(spec, pts, margin=TISSUE_MARGIN_MM)
+    hu = np.full(pts.shape[0], HU_AIR)
+    hu[tissue] = HU_TISSUE
+    hu[bone] = HU_BONE
+    for p0, p1, radius in phantom._metal_segments(spec, rng):
+        hu[phantom._segment_distance(pts, p0, p1) <= radius] = HU_METAL
+    if spec.truncation < 1.0:
+        keep = np.abs(world[:, 2]) <= spec.truncation * dims[2] * spacing[2] / 2.0
+        hu[~keep] = -1024.0
+    return hu.reshape(dims).astype(np.int16)
+
+
+@st.composite
+def _render_cases(draw):
+    """A dataset-like spec on a small anisotropic grid, posed up to 45 degrees
+    about each axis and shifted up to 1.2 half-extents, so that the anatomy
+    often hangs partly off the grid; plus a block size that splits the grid
+    into at most about 64 blocks, or the default."""
+    mode = draw(st.sampled_from(sorted(PLANE_NAMES)))
+    params = phantom._draw_patient_params(mode, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    dims = tuple(draw(st.integers(6, 40)) for _ in range(3))
+    spacing = tuple(draw(st.floats(1.5, 8.0)) for _ in range(3))
+    angles = np.radians([draw(st.floats(-45.0, 45.0)) for _ in range(3)])
+    shift = [draw(st.floats(-0.6, 0.6)) * n * s for n, s in zip(dims, spacing)]
+    metal, metal_outside = draw(st.sampled_from([(True, False), (False, True), (False, False)]))
+    spec = PhantomSpec(
+        patient_id=0,
+        pose=compose_transforms([rotation_transform(rotation_from_euler_zyx(*angles)), translation_transform(shift)]),
+        metal=metal,
+        metal_outside=metal_outside,
+        truncation=draw(st.just(1.0) | st.floats(0.3, 1.0)),
+        **params,
+    )
+    n = int(np.prod(dims))
+    block_points = draw(st.just(phantom._SLAB_POINTS) | st.integers(max(1, n // 64), n))
+    return spec, dims, spacing, block_points
+
+
+class TestBoxedRender:
+    # unposed, the anatomy's box is tight: implants and instruments reach out of
+    # it, and its tissue shell is wider than the 2-voxel growth at 2 mm
+    @settings(max_examples=150, deadline=None)
+    @given(case=_render_cases(), seed=st.integers(0, 2**32 - 1))
+    @example(case=(_spec(metal=True), (40, 40, 40), (2.0, 2.0, 2.0), phantom._SLAB_POINTS), seed=0)
+    @example(case=(_spec(metal_outside=True), (40, 40, 40), (2.0, 2.0, 2.0), phantom._SLAB_POINTS), seed=0)
+    def test_bytes_equal_whole_grid_render(self, case, seed):
+        spec, dims, spacing, block_points = case
+        with mock.patch.object(phantom, "_SLAB_POINTS", block_points):
+            try:
+                expected = _whole_grid_render(spec, dims, spacing, np.random.default_rng(seed))
+            except PhantomGenerationError:
+                with pytest.raises(PhantomGenerationError):
+                    generate_phantom(spec, dims, spacing, np.random.default_rng(seed))
+                return
+            vol, _ = generate_phantom(spec, dims, spacing, np.random.default_rng(seed))
+        assert vol.values.dtype == np.int16
+        assert vol.values.tobytes() == expected.tobytes()
+
+    # far off, the box misses the grid; 20.5 mm off in -y, the tissue shell
+    # and the box still reach into the 8 mm grid but no bone does
+    @pytest.mark.parametrize("shift", [[1000.0, 0.0, 0.0], [0.0, -20.5, 0.0]])
+    def test_pose_off_grid_raises_in_both_renderers(self, shift):
+        spec = _spec(pose=translation_transform(shift))
+        with pytest.raises(PhantomGenerationError):
+            _whole_grid_render(spec, (8, 8, 8), (1.0, 1.0, 1.0), np.random.default_rng(0))
+        with pytest.raises(PhantomGenerationError):
+            generate_phantom(spec, 8, 1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dims", [1, 2.5, True, (16, 16), (16, 16, 1), np.nan])
+    def test_bad_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match="dims"):
+            generate_phantom(_spec(), dims, 5.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, np.inf, np.nan, (5.0, 5.0), (5.0, np.inf, 5.0)])
+    def test_bad_spacing_rejected(self, spacing):
+        with pytest.raises(ValueError, match="spacing"):
+            generate_phantom(_spec(), 16, spacing, np.random.default_rng(0))
+
+    def test_192_cube_peak_rss_in_fresh_process(self):
+        # the child's own ru_maxrss: RUSAGE_CHILDREN is also raised by other tests' children
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from planereg.phantom import PhantomSpec, generate_phantom
+            generate_phantom(PhantomSpec(patient_id=0, pose=np.eye(4)), 192, 1.0, np.random.default_rng(0))
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        """)
+        src = os.path.dirname(os.path.dirname(phantom.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mb < 160.0
+
+
 @pytest.mark.slow
 class TestNoSymmetry:
     def test_rotated_renders_distinguishable(self):
@@ -225,6 +341,13 @@ class TestGenerateDataset:
         # half of the 160 mm z extent kept: slices 4..11 of 16
         cut = np.all(v.values == -1024, axis=(0, 1))
         assert cut.tolist() == [True] * 4 + [False] * 8 + [True] * 4
+
+    @pytest.mark.parametrize("key", ["spacing", "pose_rot_deg", "pose_trans_mm"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_values_named(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=key):
+            generate_dataset(tmp_path / "data", n_patients=1, volumes_per_patient=1, dims=16, **{key: value})
+        assert not (tmp_path / "data").exists()
 
     def test_invalid_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError):
