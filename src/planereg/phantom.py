@@ -23,10 +23,13 @@ construction.
 
 Rendering classifies only the voxels of a conservative box around the posed
 anatomy and its metal, in blocks of at most 2^16 points, and writes int16
-straight into the grid; every other voxel is air.  Time and memory therefore
-follow the box and one block, not float64 grids over every voxel, and each
-voxel gets the same arithmetic, so the same bytes, as a render of the whole
-grid at once.
+straight into the grid; every other voxel is air.  Each block's canonical
+points are held component-major, as contiguous x, y and z rows; the bone and
+tissue-hull masks share their squares and condyle distances, and a metal
+segment is measured only in the blocks that meet its capsule's box.  Time
+and memory therefore follow the box and one block, not float64 grids over
+every voxel, and each voxel gets the same arithmetic, so the same bytes, as
+a point-major render of the whole grid at once.
 """
 
 from __future__ import annotations
@@ -129,11 +132,24 @@ def _condyle_centers(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array([sep, 0.0, z]), np.array([-sep, 0.0, z])
 
 
-def _segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _segment_distance(comps: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from each point to the segment ``a``-``b``; ``comps`` holds
+    the points as a contiguous ``(3, m)`` array of x, y and z rows.
+
+    The projection is the matvec ``(points - a) @ ab`` on a C-ordered
+    ``(m, 3)`` array, so BLAS rounds it as it would for ``(m, 3)`` points;
+    the residual ``p - (a + t * ab)`` and its length are taken per component.
+    """
     ab = b - a
     denom = float(ab @ ab)
-    t = np.clip((points - a) @ ab / denom, 0.0, 1.0) if denom > 0 else np.zeros(len(points))
-    return np.linalg.norm(points - (a + t[:, None] * ab), axis=1)
+    if denom > 0:
+        diff = np.empty(comps.shape[::-1])
+        np.subtract(comps, a[:, None], out=diff.T)
+        t = np.clip(diff @ ab / denom, 0.0, 1.0)
+    else:
+        t = np.zeros(comps.shape[1])
+    rx, ry, rz = (p - (a[d] + t * ab[d]) for d, p in enumerate(comps))
+    return np.sqrt((rx * rx + ry * ry) + rz * rz)
 
 
 def _plate_bounds(spec: PhantomSpec, margin: float) -> tuple[np.ndarray, np.ndarray]:
@@ -147,19 +163,35 @@ def _plate_bounds(spec: PhantomSpec, margin: float) -> tuple[np.ndarray, np.ndar
     return lo, hi
 
 
-def _body_masks(spec: PhantomSpec, pts: np.ndarray, margin: float = 0.0):
-    """Bone and tissue-hull masks of the canonical body at given points."""
-    L, r = spec.shaft_length_mm, spec.shaft_radius_mm + margin
-    half = L / 2.0 + margin
-    shaft = (pts[:, 0] ** 2 + pts[:, 1] ** 2) / r**2 + pts[:, 2] ** 2 / half**2 <= 1.0
+def _body_masks(spec: PhantomSpec, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bone mask and tissue-hull mask (the body grown by ``TISSUE_MARGIN_MM``)
+    of the canonical body at points ``comps``, a contiguous ``(3, m)`` array
+    of x, y and z rows.
 
+    The two masks share the squares and the two condyle distances.  Each
+    value is the arithmetic of the ``(m, 3)`` formulation with ``** 2`` and
+    ``norm(axis=1)``: a square is ``x * x`` and a distance
+    ``sqrt((dx² + dy²) + dz²)``, the order of ``norm``'s length-3 reduce, so
+    the masks are the same bits.
+    """
+    L, R = spec.shaft_length_mm, spec.shaft_radius_mm
+    x, y, z = comps
+    yy, zz = y * y, z * z
+    rho2 = x * x + yy
+    # both condyle centers sit at y = 0 and the same z: dy² is y², and dz² is shared
     ca, cb = _condyle_centers(spec)
-    cond_a = np.linalg.norm(pts - ca, axis=1) <= spec.condyle_radius_a_mm + margin
-    cond_b = np.linalg.norm(pts - cb, axis=1) <= spec.condyle_radius_b_mm + margin
-
-    lo, hi = _plate_bounds(spec, margin)
-    plate = np.all((pts >= lo) & (pts <= hi), axis=1)
-    return shaft | cond_a | cond_b | plate
+    dz = z - ca[2]
+    dzz = dz * dz
+    dist_a, dist_b = (np.sqrt((dx * dx + yy) + dzz) for dx in (x - ca[0], x - cb[0]))
+    masks = []
+    for margin in (0.0, TISSUE_MARGIN_MM):
+        mask = rho2 / (R + margin) ** 2 + zz / (L / 2.0 + margin) ** 2 <= 1.0
+        mask |= dist_a <= spec.condyle_radius_a_mm + margin
+        mask |= dist_b <= spec.condyle_radius_b_mm + margin
+        lo, hi = _plate_bounds(spec, margin)
+        mask |= (x >= lo[0]) & (x <= hi[0]) & (y >= lo[1]) & (y <= hi[1]) & (z >= lo[2]) & (z <= hi[2])
+        masks.append(mask)
+    return masks[0], masks[1]
 
 
 def _metal_segments(spec: PhantomSpec, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray, float]]:
@@ -188,13 +220,16 @@ def _metal_segments(spec: PhantomSpec, rng: np.random.Generator) -> list[tuple[n
 
 def _voxel_box(spec: PhantomSpec, segments, dims, spacing):
     """Voxel index bounds ``(start, stop)`` of a box that holds the posed
-    tissue hull and every metal capsule, or ``None`` when it misses the grid.
+    tissue hull and every metal capsule, or ``None`` when it misses the grid;
+    and the bounds of each segment's capsule alone, as a list of
+    ``(start, stop)`` in the order of ``segments``.
 
     The hull's parts (shaft ellipsoid, condyle spheres, plate), grown by the
     tissue margin, and each segment's capsule are boxed in the canonical
     frame; the 8 corners of each box are posed, and the posed corners' bounds
     in voxel units are grown by ``_BOX_MARGIN_VOXELS`` and clipped to the
-    grid.  Every voxel outside the box is air before truncation.
+    grid.  Every voxel outside the box is air before truncation, and every
+    voxel outside a capsule's bounds is out of that capsule's reach.
     """
     m = TISSUE_MARGIN_MM
     r, half = spec.shaft_radius_mm + m, spec.shaft_length_mm / 2.0 + m
@@ -206,13 +241,16 @@ def _voxel_box(spec: PhantomSpec, segments, dims, spacing):
     lo, hi = (np.array(side)[:, None, :] for side in zip(*boxes))
     corners = np.where(_CORNER_BITS, hi, lo).reshape(-1, 3)
     world = corners @ spec.pose[:3, :3].T + spec.pose[:3, 3]
-    index = world / spacing + (np.array(dims) - 1) / 2.0
-    start = np.maximum(np.floor(index.min(axis=0)) - _BOX_MARGIN_VOXELS, 0)
-    stop = np.minimum(np.ceil(index.max(axis=0)) + _BOX_MARGIN_VOXELS, np.array(dims) - 1) + 1
+    index = (world / spacing + (np.array(dims) - 1) / 2.0).reshape(len(boxes), 8, 3)
+    starts = np.maximum(np.floor(index.min(axis=1)) - _BOX_MARGIN_VOXELS, 0)
+    stops = np.minimum(np.ceil(index.max(axis=1)) + _BOX_MARGIN_VOXELS, np.array(dims) - 1) + 1
+    start, stop = starts.min(axis=0), stops.max(axis=0)
     # NaN, from a non-finite pose, fails this comparison too
     if not np.all(start < stop):
         return None
-    return start.astype(int), stop.astype(int)
+    n_hull = len(boxes) - len(segments)
+    capsules = list(zip(starts[n_hull:].astype(int), stops[n_hull:].astype(int)))
+    return start.astype(int), stop.astype(int), capsules
 
 
 def generate_phantom(spec: PhantomSpec, dims, spacing, rng: np.random.Generator):
@@ -229,10 +267,16 @@ def generate_phantom(spec: PhantomSpec, dims, spacing, rng: np.random.Generator)
     (see :func:`_voxel_box`); the rest of the grid stays air.  The box is
     rendered in blocks of at most ``_SLAB_POINTS`` voxels, whole x-slabs
     unless one x-plane of the box is larger, and each block's int16 values
-    are written straight into the output grid.  Each voxel is classified by
-    the same arithmetic as a render of the whole grid at once, so the bytes
-    equal that render's, while time and memory follow the box and the block
-    size rather than the grid.
+    are written straight into the output grid.  A block's canonical points
+    are posed once into a contiguous ``(3, m)`` array; one call of
+    :func:`_body_masks` gives both masks from shared squares and condyle
+    distances, and :func:`_segment_distance` reads the same rows, in the
+    blocks that meet the segment's capsule bounds from :func:`_voxel_box`
+    (no voxel outside them is within the segment's radius).  Each
+    voxel is classified by the same arithmetic as a render of the whole grid
+    at once on ``(m, 3)`` points with ``norm(axis=1)``, so the bytes equal
+    that render's, while time and memory follow the box and the block size
+    rather than the grid.
     """
     dims = (dims,) * 3 if np.isscalar(dims) else tuple(dims)
     spacing = (spacing,) * 3 if np.isscalar(spacing) else tuple(spacing)
@@ -248,7 +292,7 @@ def generate_phantom(spec: PhantomSpec, dims, spacing, rng: np.random.Generator)
     box = _voxel_box(spec, segments, dims, spacing)
     if box is None:
         raise PhantomGenerationError("posed anatomy lies entirely outside the volume")
-    start, stop = box
+    start, stop, capsules = box
 
     axes = [(np.arange(n) - (n - 1) / 2.0) * s for n, s in zip(dims, spacing)]
     inv = np.linalg.inv(spec.pose)
@@ -261,17 +305,21 @@ def generate_phantom(spec: PhantomSpec, dims, spacing, rng: np.random.Generator)
     any_bone = False
     for corner in itertools.product(*(range(a, b, step) for a, b, step in zip(start, stop, (bx, by, bz)))):
         block = tuple(slice(a, min(a + step, b)) for a, b, step in zip(corner, stop, (bx, by, bz)))
-        grids = np.meshgrid(*(ax[sl] for ax, sl in zip(axes, block)), indexing="ij")
-        world = np.stack(grids, axis=-1).reshape(-1, 3)
-        pts = world @ inv[:3, :3].T + inv[:3, 3]
-
         out = hu[block]
-        bone = _body_masks(spec, pts)
+        world = np.empty(out.shape + (3,))
+        for d, grid in enumerate(np.meshgrid(*(ax[sl] for ax, sl in zip(axes, block)), indexing="ij", sparse=True)):
+            world[..., d] = grid
+        # the canonical points, `world @ inv[:3, :3].T + inv[:3, 3]`, as x, y and z rows
+        comps = np.empty((3, out.size))
+        np.add((world.reshape(-1, 3) @ inv[:3, :3].T).T, inv[:3, 3, None], out=comps)
+
+        bone, tissue = _body_masks(spec, comps)
         any_bone = any_bone or bool(bone.any())
-        out[_body_masks(spec, pts, margin=TISSUE_MARGIN_MM).reshape(out.shape)] = HU_TISSUE
+        out[tissue.reshape(out.shape)] = HU_TISSUE
         out[bone.reshape(out.shape)] = HU_BONE
-        for p0, p1, radius in segments:
-            out[(_segment_distance(pts, p0, p1) <= radius).reshape(out.shape)] = HU_METAL
+        for (p0, p1, radius), (c_start, c_stop) in zip(segments, capsules):
+            if all(sl.start < hi and lo < sl.stop for sl, lo, hi in zip(block, c_start, c_stop)):
+                out[(_segment_distance(comps, p0, p1) <= radius).reshape(out.shape)] = HU_METAL
     if not any_bone:
         raise PhantomGenerationError("posed anatomy lies entirely outside the volume")
 
@@ -383,9 +431,10 @@ def generate_dataset(
         raise ValueError(f"dims must be at least 2, got {dims}")
     if not 0.0 < spacing < np.inf:
         raise ValueError(f"spacing must be finite and positive, got {spacing}")
+    # each pose offset is drawn from [-value, value], whose width must be finite
     for key, value in (("pose_rot_deg", pose_rot_deg), ("pose_trans_mm", pose_trans_mm)):
-        if not 0.0 <= value < np.inf:
-            raise ValueError(f"{key} must be finite and non-negative, got {value}")
+        if not (0.0 <= value and 2.0 * value < np.inf):
+            raise ValueError(f"{key} must be non-negative and at most {np.finfo(float).max / 2:.6g}, got {value}")
     os.makedirs(out_dir, exist_ok=True)
 
     n_metal_patients = int(round(metal_fraction * n_patients))

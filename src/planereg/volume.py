@@ -317,7 +317,15 @@ def extract_mpr_slice(vol: Volume, plane: PlaneFrame, size=(256, 256), px_spacin
 
 
 def write_volume(path_base, vol: Volume) -> None:
-    """Write ``<base>.vhdr`` (text header) and ``<base>.vraw`` (int16le)."""
+    """Write ``<base>.vhdr`` (text header) and ``<base>.vraw`` (int16le).
+
+    Samples are rounded half to even and clipped to ``[HU_MIN, HU_MAX]``: an
+    int16 volume is clipped with integer bounds in int16, any other dtype is
+    rounded and clipped in float64.  The clip writes one contiguous
+    x-fastest array, which goes to the file in one write, so the bytes equal
+    rounding and clipping every dtype in float64 without a float64 copy of
+    an int16 volume.
+    """
     base = os.fspath(path_base)
     nx, ny, nz = vol.dims
     header = (
@@ -327,10 +335,15 @@ def write_volume(path_base, vol: Volume) -> None:
     )
     with open(base + ".vhdr", "w", encoding="ascii") as fh:
         fh.write(header)
-    raw = np.rint(np.asarray(vol.values, dtype=np.float64))
-    raw = np.clip(raw, HU_MIN, HU_MAX).astype("<i2")
+    values = vol.values
+    if values.dtype == np.int16:
+        lo, hi = int(HU_MIN), int(HU_MAX)
+    else:
+        values, lo, hi = np.rint(np.asarray(values, dtype=np.float64)), HU_MIN, HU_MAX
     # file layout is x-fastest, then y, then z
-    raw.transpose(2, 1, 0).tofile(base + ".vraw")
+    raw = np.empty((nz, ny, nx), dtype="<i2")
+    np.clip(values.transpose(2, 1, 0), lo, hi, out=raw, casting="unsafe")
+    raw.tofile(base + ".vraw")
 
 
 def _header_triple(base, fields, key, convert) -> tuple:

@@ -503,6 +503,8 @@ class TestHelpAndErrors:
             (["spacing=inf"], "spacing"),
             (["pose_rot_deg=inf"], "pose_rot_deg"),
             (["pose_trans_mm=inf"], "pose_trans_mm"),
+            (["pose_trans_mm=1e308"], "pose_trans_mm"),
+            (["pose_rot_deg=1e308"], "pose_rot_deg"),
         ],
     )
     def test_phantom_bounds_named(self, tmp_path, capsys, overrides, key):

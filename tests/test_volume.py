@@ -559,7 +559,30 @@ def hu_grids(draw):
     return np.asfortranarray(values) if draw(st.booleans()) else values
 
 
+@st.composite
+def hu_volumes(draw):
+    """HU grids of 2-6 voxels per axis, C- or Fortran-ordered: int16 with the
+    range ends likely, or float64 with halves (ties for rint) and other fractions."""
+    shape = draw(st.tuples(*[st.integers(2, 6)] * 3))
+    if draw(st.booleans()):
+        ends = st.sampled_from([int(HU_MIN), int(HU_MAX)])
+        values = draw(hnp.arrays(np.int16, shape, elements=ends | st.integers(int(HU_MIN), int(HU_MAX))))
+    else:
+        halves = st.integers(2 * int(HU_MIN), 2 * int(HU_MAX)).map(lambda k: k / 2)
+        values = draw(hnp.arrays(np.float64, shape, elements=halves | st.floats(HU_MIN, HU_MAX)))
+    return np.asfortranarray(values) if draw(st.booleans()) else values
+
+
 class TestVolumeFiles:
+    @settings(max_examples=100, deadline=None)
+    @given(values=hu_volumes())
+    def test_raw_bytes_equal_float64_formulation(self, values):
+        # every dtype rounded and clipped in float64, then laid out x-fastest
+        expected = np.clip(np.rint(values.astype(np.float64)), HU_MIN, HU_MAX).astype("<i2").transpose(2, 1, 0)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_volume(Path(tmp) / "vol", Volume(values=values, spacing=1.0))
+            assert (Path(tmp) / "vol.vraw").read_bytes() == expected.tobytes()
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         v = Volume(values=rng.integers(-1024, 3071, size=(7, 6, 5)).astype(np.int16), spacing=(1.25, 2.5, 3.75))
