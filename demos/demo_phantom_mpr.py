@@ -35,7 +35,7 @@ for name, frame in planes.items():
     write_pgm(os.path.join(out_dir, f"{name}.pgm"), img)
     print(f"wrote {name}.pgm; plane normal {np.round(frame.e_w, 3)}")
 
-cfg = ExperimentConfig(out_dims=96, out_spacing=1.65).augment_config()
+cfg = ExperimentConfig(out_dims=96, out_spacing=1.65)
 sample = augment_sample(vol, list(planes.values()), cfg, SeededRng(42))
 print("\naugmentation: mirrored =", sample.mirrored, " intensity factor =", round(sample.intensity_factor, 4))
 

@@ -9,7 +9,7 @@ combined loss and the evaluation score), ``harness`` (training,
 cross-validation, ablations), and ``cli``.
 """
 
-from .augmentation import AugmentConfig, AugmentedSample, SeededRng, augment_sample, center_input
+from .augmentation import AugmentedSample, SeededRng, augment_sample, center_input
 from .geometry import (
     PlaneFrame,
     RotationKind,
@@ -29,7 +29,6 @@ from .volume import Volume, WindowConfig, extract_mpr_slice, resample, trilinear
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentConfig",
     "AugmentedSample",
     "ExperimentConfig",
     "LossWeights",

@@ -1,11 +1,13 @@
 """Random spatial/intensity augmentation producing network-ready samples.
 
 One augmentation draws a mirror flag, three per-axis rotation angles, a
-uniform scale, and a translation, composes them into a single homogeneous
-matrix (mirror, then rotate, then scale, then translate), and resamples the
-volume exactly once through the composite.  The jittered HU values then go
-through the one fixed display window, ``volume.WINDOW``, as the test-time
-input of :func:`center_input` does.  Plane labels ride along through the
+uniform scale, and a translation from the ranges of an experiment config
+(:class:`planereg.harness.ExperimentConfig`, which checks them), composes
+them into a single homogeneous matrix (mirror, then rotate, then scale, then
+translate), and resamples the volume exactly once through the composite
+onto the config's output grid.  The jittered HU values then go through the
+one fixed display window, ``volume.WINDOW``, as the test-time input of
+:func:`center_input` does.  Plane labels ride along through the
 same matrix, so an augmented sample stays self-consistent: decoding its
 target vector and mapping it back through the inverse transform recovers the
 original annotation.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,6 +44,9 @@ from .geometry import (
     translation_transform,
 )
 from .volume import Volume, intensity_pipeline, resample
+
+if TYPE_CHECKING:  # harness imports this module
+    from .harness import ExperimentConfig
 
 _STREAM_IDS = {"spatial": 0, "intensity": 1, "mirror": 2}
 
@@ -90,43 +96,8 @@ class SeededRng:
         return SeededRng(self.seed, self.key + tuple(int(k) for k in key_parts))
 
 
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Augmentation ranges and the output grid fed to the network (see ``ExperimentConfig.augment_config``)."""
-
-    rot_deg: float
-    scale_range: tuple[float, float]
-    trans_mm: float
-    mirror_prob: float
-    out_dims: int
-    out_spacing: float
-    intensity_range: tuple[float, float]
-
-    def __post_init__(self):
-        for key in ("rot_deg", "trans_mm"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
-        lo, hi = self.scale_range
-        if not (0.9 <= lo <= hi <= 1.1):
-            raise ValueError(f"scale_range must be ordered and lie within [0.9, 1.1], got ({lo}, {hi})")
-        ilo, ihi = self.intensity_range
-        if not (0.95 <= ilo <= ihi <= 1.05):
-            raise ValueError(f"intensity_range must be ordered and lie within [0.95, 1.05], got ({ilo}, {ihi})")
-        if not 0.0 <= self.mirror_prob <= 1.0:
-            raise ValueError(f"mirror_prob must be a probability, got {self.mirror_prob}")
-        if self.out_dims < 2:
-            raise ValueError(f"out_dims must be at least 2, got {self.out_dims}")
-        if self.out_spacing <= 0:
-            raise ValueError(f"out_spacing must be positive, got {self.out_spacing}")
-
-    @property
-    def extent_mm(self) -> float:
-        """Edge length of the output grid; the unit for normalized centers."""
-        return self.out_dims * self.out_spacing
-
-
-def sample_augmentation(cfg: AugmentConfig, rng: SeededRng):
-    """Draw one augmentation: composite transform, mirror flag, HU factor.
+def sample_augmentation(cfg: ExperimentConfig, rng: SeededRng):
+    """Draw one augmentation from ``cfg``'s ranges: composite transform, mirror flag, HU factor.
 
     The transform applies mirror, rotation (per-axis angles, composed Z-Y-X),
     uniform scale, and translation, in that fixed order.  All streams are
@@ -135,9 +106,9 @@ def sample_augmentation(cfg: AugmentConfig, rng: SeededRng):
     mirrored = bool(rng.mirror.random() < cfg.mirror_prob)
     r = np.radians(cfg.rot_deg)
     rx, ry, rz = rng.spatial.uniform(-r, r, size=3)
-    s = float(rng.spatial.uniform(cfg.scale_range[0], cfg.scale_range[1]))
+    s = float(rng.spatial.uniform(cfg.scale_lo, cfg.scale_hi))
     t = rng.spatial.uniform(-cfg.trans_mm, cfg.trans_mm, size=3)
-    factor = float(rng.intensity.uniform(cfg.intensity_range[0], cfg.intensity_range[1]))
+    factor = float(rng.intensity.uniform(cfg.intensity_lo, cfg.intensity_hi))
 
     steps = [mirror_x_transform()] if mirrored else []
     steps += [
@@ -186,17 +157,12 @@ class AugmentedSample:
     center_out_of_bounds: bool
 
 
-def augment_sample(
-    vol: Volume,
-    planes,
-    cfg: AugmentConfig,
-    rng: SeededRng,
-    kind: RotationKind = RotationKind.SIXD,
-) -> AugmentedSample:
+def augment_sample(vol: Volume, planes, cfg: ExperimentConfig, rng: SeededRng) -> AugmentedSample:
     """Produce an augmented input tensor plus consistently moved labels.
 
     The volume is interpolated exactly once (through the composite
-    transform); the intensity pipeline then maps HU to (0, 1).  A sample
+    transform) onto ``cfg``'s output grid; the intensity pipeline then maps
+    HU to (0, 1), and the targets use ``cfg``'s rotation encoding.  A sample
     whose transformed plane center leaves the normalized cube is kept but
     flagged and counted.
     """
@@ -206,7 +172,7 @@ def augment_sample(
     # resample returns a transposed view; the network takes C order, so convert once here
     image = intensity_pipeline(resampled.values, factor).astype(np.float32, order="C")
     moved = [transform_plane(T, p) for p in planes]
-    target = encode_plane_targets(moved, kind, cfg.extent_mm)
+    target = encode_plane_targets(moved, cfg.representation, cfg.extent_mm)
 
     out = any(np.any(np.abs(normalize_translation(p.A, cfg.extent_mm)) > 0.5) for p in moved)
     with _OUT_OF_CUBE_LOCK:

@@ -14,8 +14,11 @@ the artifacts bit for bit.  The ``phantom-gen`` config keys are
 :func:`planereg.phantom.generate_dataset`'s keyword parameters, with its
 defaults; the experiment keys are the fields of
 :class:`planereg.harness.ExperimentConfig`, which checks them all before any
-data is read or output written.  Exit codes: 0 success, 1 validation error
-(malformed config, missing file), 2 runtime failure.
+data is read or output written.  Exit codes: 0 success, 1 validation error,
+2 runtime failure.  Validation errors (a malformed config, a key out of
+range or not finite, a missing file, a manifest whose mode or patient count
+does not fit the config, bad ``--folds`` or ``--jobs``) are found before the
+command makes its output.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .harness import (
     ABLATION_AXES,
     EXPERIMENT_SCHEMA,
     ExperimentConfig,
+    _check_modes,
     _fold_list,
     ablation_driver,
     cross_validate,
@@ -130,6 +134,7 @@ def _cmd_train(args) -> None:
     values = _resolve(EXPERIMENT_SCHEMA, args)
     cfg = ExperimentConfig(**values)
     samples = load_samples(args.manifest)
+    _check_modes(cfg, samples)
     os.makedirs(args.out, exist_ok=True)
     result = train(cfg, samples, checkpoint_path=os.path.join(args.out, "checkpoint.bin"))
     with open(os.path.join(args.out, "loss_curve.csv"), "w", encoding="ascii") as fh:

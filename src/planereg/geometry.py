@@ -22,6 +22,7 @@ import numpy as np
 
 UNIT_TOL = 1e-9
 DEGENERACY_EPS = 1e-8
+SCALE_RANGE = (0.9, 1.1)  # uniform scales a rigid transform may carry
 
 
 class GeometryError(ValueError):
@@ -335,9 +336,9 @@ def rotation_about_axis(axis, angle_rad: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle_rad) * K + (1.0 - np.cos(angle_rad)) * (K @ K)
 
 
-def assert_rigid_transform(T: np.ndarray, scale_range=(0.9, 1.1)) -> np.ndarray:
+def assert_rigid_transform(T: np.ndarray) -> np.ndarray:
     """Validate a 4x4 transform: exact (0,0,0,1) bottom row and an upper-left
-    3x3 that is orthogonal times a uniform scale inside ``scale_range``
+    3x3 that is orthogonal times a uniform scale inside :data:`SCALE_RANGE`
     (mirrors, det < 0, are allowed)."""
     T = np.asarray(T, dtype=float)
     if T.shape != (4, 4):
@@ -346,8 +347,8 @@ def assert_rigid_transform(T: np.ndarray, scale_range=(0.9, 1.1)) -> np.ndarray:
         raise GeometryError("bottom row must be exactly (0, 0, 0, 1)")
     L = T[:3, :3]
     s = abs(np.linalg.det(L)) ** (1.0 / 3.0)
-    if not (scale_range[0] - 1e-9 <= s <= scale_range[1] + 1e-9):
-        raise GeometryError(f"linear part scale {s:.6f} outside {scale_range}")
+    if not (SCALE_RANGE[0] - 1e-9 <= s <= SCALE_RANGE[1] + 1e-9):
+        raise GeometryError(f"linear part scale {s:.6f} outside {SCALE_RANGE}")
     if np.max(np.abs(L.T @ L - s * s * np.eye(3))) > 1e-6 * max(1.0, s * s):
         raise GeometryError("linear part is not orthogonal times a uniform scale")
     return T

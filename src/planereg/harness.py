@@ -11,18 +11,18 @@ fixed master seed makes the final checkpoint bit-for-bit reproducible.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from ._kernels import _MIN_TASK, _map_tasks
-from .augmentation import AugmentConfig, SeededRng, augment_sample, center_input, decode_plane_vector
+from .augmentation import SeededRng, augment_sample, center_input, decode_plane_vector
 from .config import ConfigError, Field, field_values, schema
-from .geometry import DegenerateEncodingError, PlaneFrame, RotationKind, read_plane_file
+from .geometry import SCALE_RANGE, DegenerateEncodingError, PlaneFrame, RotationKind, read_plane_file
 from .loss_metrics import (
-    ORTHOGONALITY_FORMS,
     LossWeights,
     PlaneErrors,
     ReportRow,
@@ -34,17 +34,12 @@ from .loss_metrics import (
 )
 from .model import NetworkConfig, PlaneRegressionNet, SGDMomentum, load_checkpoint, save_checkpoint, step_decay
 from .phantom import PLANE_NAMES, ManifestEntry, read_manifest
-from .volume import Volume, read_volume
+from .volume import JITTER_RANGE, Volume, read_volume
 
 logger = logging.getLogger(__name__)
 
 _AUG_TAG = 1000  # seed-sequence namespace for per-sample augmentation draws
-# fields of the derived configs whose experiment keys have other names
-_DERIVED_FIELD_KEYS = {
-    "scale_range": "(scale_lo, scale_hi)",
-    "intensity_range": "(intensity_lo, intensity_hi)",
-    "in_dims": "out_dims",
-}
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -53,8 +48,10 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: data mode, model, loss weights, optimizer, and seed;
-    the only description of what a run trains, checked in full when built."""
+    """One experiment: data mode, model, loss weights, optimizer, augmentation
+    ranges and seed; the only description of what a run trains, and what
+    :func:`planereg.augmentation.augment_sample` reads.  Every key is checked
+    when the config is built, and an error names the key it is about."""
 
     mode: str = "ankle"
     representation: RotationKind = RotationKind.SIXD
@@ -63,7 +60,6 @@ class ExperimentConfig:
     alpha: float = 0.5
     beta: float = 0.5
     gamma: float = 0.0
-    orthogonality_form: str = "cross"
     epochs: int = 400
     lr: float = 0.02
     decay: float = 0.5
@@ -88,20 +84,41 @@ class ExperimentConfig:
         object.__setattr__(self, "representation", RotationKind(self.representation))
         object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
         object.__setattr__(self, "fc_widths", tuple(int(w) for w in self.fc_widths))
-        for key, lowest in (("epochs", 0), ("batch_size", 1), ("k", 2), ("step_size", 1)):
-            if getattr(self, key) < lowest:
-                raise ConfigError(f"{key} must be at least {lowest}, got {getattr(self, key)}")
-        if self.orthogonality_form not in ORTHOGONALITY_FORMS:
-            raise ConfigError(f"orthogonality_form must be one of {ORTHOGONALITY_FORMS}")
-        # the derived configs check their own values; their errors name the experiment keys
-        for build in (self.weights, self.augment_config, self.network_config):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        # each pooling step halves the grid, which must keep one voxel
+        min_dims = max(2, 2 ** len(self.channels))
+        lowest = {"epochs": 0, "batch_size": 1, "k": 2, "step_size": 1, "seed": 0, "out_dims": min_dims}
+        for key, low in lowest.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        for key in ("lr", "decay", "momentum"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
+        # rotations and translations are drawn from [-value, value], whose width must be finite
+        for key in ("rot_deg", "trans_mm"):
+            value = getattr(self, key)
+            if not (0.0 <= value and 2.0 * value < np.inf):
+                raise ConfigError(f"{key} must be non-negative and at most {_FLOAT_MAX / 2:.6g}, got {value}")
+        if not (0.0 < self.out_spacing and math.isfinite(self.extent_mm)):
+            raise ConfigError(
+                f"out_spacing must be positive and at most {_FLOAT_MAX / self.out_dims:.6g} "
+                f"for out_dims={self.out_dims}, got {self.out_spacing}"
+            )
+        if not 0.0 <= self.mirror_prob <= 1.0:
+            raise ConfigError(f"mirror_prob must be a probability, got {self.mirror_prob}")
+        # the transforms and jitter factors the ranges allow are the ones geometry and volume accept
+        for name, (lo, hi) in (("scale", SCALE_RANGE), ("intensity", JITTER_RANGE)):
+            a, b = getattr(self, f"{name}_lo"), getattr(self, f"{name}_hi")
+            if not lo <= a <= b <= hi:
+                raise ConfigError(f"need {lo} <= {name}_lo <= {name}_hi <= {hi}, got {name}_lo={a}, {name}_hi={b}")
+        for build in (self.weights, self.network_config):
             try:
                 build()
             except ValueError as exc:
-                message = str(exc)
-                for field, keys in _DERIVED_FIELD_KEYS.items():
-                    message = message.replace(field, keys)
-                raise ConfigError(message) from None
+                raise ConfigError(str(exc)) from None
 
     def to_values(self) -> dict:
         return field_values(self)
@@ -116,17 +133,6 @@ class ExperimentConfig:
 
     def weights(self) -> LossWeights:
         return LossWeights(self.alpha, self.beta, self.gamma)
-
-    def augment_config(self) -> AugmentConfig:
-        return AugmentConfig(
-            rot_deg=self.rot_deg,
-            scale_range=(self.scale_lo, self.scale_hi),
-            trans_mm=self.trans_mm,
-            mirror_prob=self.mirror_prob,
-            out_dims=self.out_dims,
-            out_spacing=self.out_spacing,
-            intensity_range=(self.intensity_lo, self.intensity_hi),
-        )
 
     def network_config(self, n_planes: int | None = None) -> NetworkConfig:
         """The network of ``n_planes`` planes (default: all of the mode's) that :func:`train` builds."""
@@ -149,7 +155,6 @@ _EXPERIMENT_HELP = {
     "alpha": "loss weight of the rotation term",
     "beta": "loss weight of the translation term",
     "gamma": "loss weight of the plane orthogonality term",
-    "orthogonality_form": "orthogonality penalty form: cross or dot",
     "epochs": "number of training epochs",
     "lr": "initial learning rate",
     "decay": "learning-rate decay factor",
@@ -297,7 +302,6 @@ def train(
     init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(11,))))
     net = PlaneRegressionNet(cfg.network_config(n_planes=len(names)), rng=init_rng)
     opt = SGDMomentum(net, lr=cfg.lr, momentum=cfg.momentum)
-    aug_cfg = cfg.augment_config()
     base_rng = SeededRng(cfg.seed)
 
     curve: list[float] = []
@@ -318,11 +322,7 @@ def train(
                 idx = int(batch[row])
                 s = samples[idx]
                 aug = augment_sample(
-                    s.volume,
-                    [s.planes[n] for n in names],
-                    aug_cfg,
-                    base_rng.derive(_AUG_TAG, epoch, idx),
-                    kind=cfg.representation,
+                    s.volume, [s.planes[n] for n in names], cfg, base_rng.derive(_AUG_TAG, epoch, idx)
                 )
                 images[row, 0] = aug.image
                 targets[row] = aug.target
@@ -330,7 +330,7 @@ def train(
 
             out_of_cube += sum(_map_tasks(fill, len(batch), cfg.out_dims**3, _MIN_TASK))
             pred = net.forward(images)
-            node = loss_graph(pred, targets, weights, cfg.representation, len(names), cfg.orthogonality_form)
+            node = loss_graph(pred, targets, weights, cfg.representation, len(names))
             value = node.item()
             if not np.isfinite(value):
                 raise TrainingDivergedError(
@@ -504,13 +504,28 @@ def _eval_fold(cfg: ExperimentConfig, samples: list[Sample], assignment: FoldAss
     return train_eval_fold(cfg, samples, assignment, fold, scheme=scheme)[0]
 
 
-def _run_folds(cfg: ExperimentConfig, samples: list[Sample], folds: list[int], scheme: str, jobs: int) -> dict[int, EvalResult]:
+def _load_split(cfg: ExperimentConfig, manifest_path) -> tuple[list[Sample], FoldAssignment]:
+    """The samples of ``manifest_path``, checked against ``cfg``'s mode, and
+    their grouped split into ``cfg.k`` folds; run before any output exists, so
+    a manifest that does not fit the config leaves nothing behind."""
+    samples = load_samples(manifest_path)
+    _check_modes(cfg, samples)
+    return samples, split_kfold_grouped([s.entry for s in samples], cfg.k, cfg.seed)
+
+
+def _run_folds(
+    cfg: ExperimentConfig,
+    samples: list[Sample],
+    assignment: FoldAssignment,
+    folds: list[int],
+    scheme: str,
+    jobs: int,
+) -> dict[int, EvalResult]:
     """Run independent fold jobs, optionally in parallel worker processes.
 
     Each fold derives all randomness from the master seed alone, so the
     results are identical whatever the job count or scheduling.
     """
-    assignment = split_kfold_grouped([s.entry for s in samples], cfg.k, cfg.seed)
     if jobs <= 1 or len(folds) <= 1:
         return {fold: _eval_fold(cfg, samples, assignment, scheme, fold) for fold in folds}
     from concurrent.futures import ProcessPoolExecutor
@@ -548,8 +563,9 @@ def cross_validate(
     (write to a temp file, then rename).
     """
     folds = _fold_list(folds, cfg.k, jobs)
+    samples, assignment = _load_split(cfg, manifest_path)
     os.makedirs(out_dir, exist_ok=True)
-    results = _run_folds(cfg, load_samples(manifest_path), folds, scheme, jobs)
+    results = _run_folds(cfg, samples, assignment, folds, scheme, jobs)
     mean_rows = []
     for fold in folds:
         fold_dir = os.path.join(out_dir, f"fold{fold}")
@@ -568,6 +584,18 @@ ABLATION_AXES = {
     # every (alpha, beta, gamma) on the 0.1 grid with alpha, beta >= 0.1
     "weights": [LossWeights(a / 10, b / 10, (10 - a - b) / 10) for a in range(1, 10) for b in range(1, 11 - a)],
 }
+
+
+def _ablation_cell(which: str, cfg: ExperimentConfig, cell) -> tuple[str, str, ExperimentConfig]:
+    """Label, fold scheme and config of one cell of ablation axis ``which``."""
+    if which == "representation":
+        return cell.value, "config", replace(cfg, representation=cell)
+    if which == "resolution":
+        dims, spacing = cell
+        return f"{dims}^3@{spacing}mm", "config", replace(cfg, out_dims=dims, out_spacing=spacing)
+    if which == "weights":
+        return f"a{cell.alpha:g}_b{cell.beta:g}_g{cell.gamma:g}", "config", _with_weights(cfg, cell)
+    return cell, cell, cfg
 
 
 def ablation_driver(
@@ -589,25 +617,15 @@ def ablation_driver(
     if which not in ABLATION_AXES:
         raise ValueError(f"unknown ablation axis {which!r}")
     folds = _fold_list(folds, cfg.k, jobs)
+    # built first, so that a cell the config cannot hold (a resolution too small for its channels) fails before any output
+    cells = [_ablation_cell(which, cfg, cell) for cell in ABLATION_AXES[which]]
+    # every cell keeps cfg's mode, k and seed, so one split serves them all
+    samples, assignment = _load_split(cfg, manifest_path)
     os.makedirs(out_dir, exist_ok=True)
-    samples = load_samples(manifest_path)
 
     lines = [SUMMARY_HEADER]
-    for cell in ABLATION_AXES[which]:
-        if which == "representation":
-            cell_cfg = replace(cfg, representation=cell)
-            label, scheme = cell.value, "config"
-        elif which == "resolution":
-            dims, spacing = cell
-            cell_cfg = replace(cfg, out_dims=dims, out_spacing=spacing)
-            label, scheme = f"{dims}^3@{spacing}mm", "config"
-        elif which == "weights":
-            cell_cfg = _with_weights(cfg, cell)
-            label, scheme = f"a{cell.alpha:g}_b{cell.beta:g}_g{cell.gamma:g}", "config"
-        else:
-            cell_cfg = cfg
-            label, scheme = cell, cell
-        results = _run_folds(cell_cfg, samples, folds, scheme, jobs)
+    for label, scheme, cell_cfg in cells:
+        results = _run_folds(cell_cfg, samples, assignment, folds, scheme, jobs)
         fold_rows = [results[fold].mean_row() for fold in folds]
         for fold in folds:
             _atomic_write(

@@ -7,11 +7,11 @@ The loss combines three terms with convex weights ``(alpha, beta, gamma)``::
 ``L_translation`` is the mean Euclidean distance of the normalized plane
 centers, ``L_rotation`` the mean Euclidean distance of the rotation encoding
 values, and ``L_orthogonality`` penalizes non-orthogonal predicted plane
-normals, averaged over unordered plane pairs.  The default pairwise form is
+normals, averaged over unordered plane pairs.  Its pairwise term is
 ``1 - |n_i x n_j|`` (one minus the sine of the inter-normal angle), which is
-minimal exactly at orthogonality and differentiable; ``|n_i . n_j|`` is
-available as an alternative.  Everything is built on the autodiff engine, so
-gradients flow through the encoding decodes (including the 6D Gram-Schmidt).
+minimal exactly at orthogonality and differentiable.  Everything is built on
+the autodiff engine, so gradients flow through the encoding decodes
+(including the 6D Gram-Schmidt).
 
 Evaluation reports, per plane: ``d`` (mm displacement along the ground-truth
 normal), ``eps_n`` (normal angle error, degrees), and ``eps_i`` (in-plane
@@ -40,9 +40,6 @@ def degenerate_normal_count() -> int:
     return _degenerate_normals
 
 
-ORTHOGONALITY_FORMS = ("cross", "dot")
-
-
 @dataclass(frozen=True)
 class LossWeights:
     """Convex combination weights (rotation, translation, orthogonality)."""
@@ -52,10 +49,12 @@ class LossWeights:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValueError("loss weights must be non-negative")
-        if abs(self.alpha + self.beta + self.gamma - 1.0) > 1e-9:
-            raise ValueError("loss weights must sum to 1")
+        w = (self.alpha, self.beta, self.gamma)
+        # written as "not >= 0" so that NaN is rejected too
+        if not all(v >= 0 for v in w):
+            raise ValueError(f"loss weights alpha, beta, gamma must be non-negative, got {w}")
+        if abs(sum(w) - 1.0) > 1e-9:
+            raise ValueError(f"loss weights alpha, beta, gamma must sum to 1, got {w}")
 
 
 # named weight presets per body region; "three_*" entries are the per-plane
@@ -157,7 +156,6 @@ def loss_graph(
     weights: LossWeights,
     kind: RotationKind,
     n_planes: int,
-    orthogonality_form: str = "cross",
 ) -> Tensor:
     """Build the combined loss over a batch as an engine graph node.
 
@@ -169,8 +167,6 @@ def loss_graph(
     """
     global _degenerate_normals
     kind = RotationKind(kind)
-    if orthogonality_form not in ORTHOGONALITY_FORMS:
-        raise ValueError(f"orthogonality_form must be one of {ORTHOGONALITY_FORMS}")
     per = 3 + kind.length
     target = np.asarray(target, dtype=pred.dtype)
     if pred.shape[-1] != per * n_planes or target.shape != pred.shape:
@@ -197,12 +193,8 @@ def loss_graph(
                 (ni, vi), (nj, vj) = normals[i], normals[j]
                 ok = vi & vj
                 _degenerate_normals += int(np.size(ok) - np.count_nonzero(ok))
-                if orthogonality_form == "cross":
-                    # 1 - sin(angle between normals): zero exactly at orthogonality
-                    term = 1.0 - _row_norm(_cross_rows(ni, nj))
-                else:
-                    dot = _row_dot(ni, nj)
-                    term = engine.sqrt(engine.mul(dot, dot))[:, 0]
+                # 1 - sin(angle between normals): zero exactly at orthogonality
+                term = 1.0 - _row_norm(_cross_rows(ni, nj))
                 mask = ok.astype(pred.dtype)
                 pair_terms.append(engine.mul(term, mask) + (1.0 - mask))
         total = total + weights.gamma * engine.tmean(engine.concat(pair_terms, axis=0))

@@ -64,6 +64,8 @@ class NetworkConfig:
             raise ValueError("n_planes must be at least 1")
         if not self.channels or min(self.channels) < 1:
             raise ValueError("channels must be positive")
+        if any(w < 1 for w in self.fc_widths):
+            raise ValueError(f"fc_widths must be positive, got {self.fc_widths}")
         side = self.in_dims
         for _ in self.channels:
             side //= 2

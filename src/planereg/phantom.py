@@ -427,6 +427,8 @@ def generate_dataset(
         raise ValueError(f"need 0 < trunc_lo <= trunc_hi <= 1, got trunc_lo={trunc_lo}, trunc_hi={trunc_hi}")
     if not 0.0 <= metal_fraction <= 1.0:
         raise ValueError(f"metal_fraction must lie in [0, 1], got {metal_fraction}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if dims < 2:  # a Volume needs 2 voxels per axis
         raise ValueError(f"dims must be at least 2, got {dims}")
     if not 0.0 < spacing < np.inf:

@@ -26,6 +26,7 @@ from .geometry import GeometryError, PlaneFrame
 HU_MIN = -1024.0
 HU_MAX = 3071.0
 FILL_HU = -1024.0
+JITTER_RANGE = (0.95, 1.05)  # calibration jitter factors intensity_jitter accepts
 
 _INTERP_CALLS = 0
 _INTERP_LOCK = threading.Lock()  # passes may run on several threads at once
@@ -256,8 +257,9 @@ def resample(vol: Volume, T: np.ndarray, out_dims, out_spacing) -> Volume:
 
 def intensity_jitter(hu, factor: float):
     """Multiplicative calibration jitter: ``(hu + 1000) * factor - 1000``."""
-    if not 0.95 <= factor <= 1.05:
-        raise ValueError(f"jitter factor {factor} outside [0.95, 1.05]")
+    lo, hi = JITTER_RANGE
+    if not lo <= factor <= hi:
+        raise ValueError(f"jitter factor {factor} outside [{lo}, {hi}]")
     return (np.asarray(hu) + 1000.0) * factor - 1000.0
 
 

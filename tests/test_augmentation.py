@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from planereg.augmentation import (
-    AugmentConfig,
     SeededRng,
     augment_sample,
     center_input,
@@ -12,6 +11,7 @@ from planereg.augmentation import (
     sample_augmentation,
 )
 from planereg.geometry import (
+    SCALE_RANGE,
     PlaneFrame,
     RotationKind,
     normalize_translation,
@@ -21,7 +21,7 @@ from planereg.geometry import (
 )
 from planereg.harness import ExperimentConfig
 from planereg.phantom import PhantomSpec, generate_phantom
-from planereg.volume import interpolation_call_count
+from planereg.volume import JITTER_RANGE, interpolation_call_count
 
 EX, EY, EZ = np.eye(3)
 
@@ -34,22 +34,25 @@ def phantom():
 
 
 def degenerate_config(**kw):
+    """An experiment whose augmentation ranges hold one value each: the identity, on a 32^3, 5 mm grid."""
     defaults = dict(
         rot_deg=0.0,
-        scale_range=(1.0, 1.0),
+        scale_lo=1.0,
+        scale_hi=1.0,
         trans_mm=0.0,
         mirror_prob=0.0,
         out_dims=32,
         out_spacing=5.0,
-        intensity_range=(1.0, 1.0),
+        intensity_lo=1.0,
+        intensity_hi=1.0,
     )
     defaults.update(kw)
-    return AugmentConfig(**defaults)
+    return ExperimentConfig(**defaults)
 
 
 def protocol_config(**kw):
     """The experiment's augmentation ranges on a 32^3, 5 mm grid."""
-    return ExperimentConfig(out_dims=32, out_spacing=5.0, **kw).augment_config()
+    return ExperimentConfig(out_dims=32, out_spacing=5.0, **kw)
 
 
 class TestSeededRng:
@@ -76,27 +79,37 @@ class TestSeededRng:
 
 
 class TestAugmentConfig:
+    """The augmentation keys of :class:`ExperimentConfig`."""
+
     def test_defaults_match_protocol(self):
-        cfg = ExperimentConfig().augment_config()
+        cfg = ExperimentConfig()
         assert cfg.rot_deg == 45.0
-        assert cfg.scale_range == (0.95, 1.05)
+        assert (cfg.scale_lo, cfg.scale_hi) == (0.95, 1.05)
         assert cfg.trans_mm == 12.0
         assert cfg.mirror_prob == 0.5
-        assert cfg.intensity_range == (0.95, 1.05)
+        assert (cfg.intensity_lo, cfg.intensity_hi) == (0.95, 1.05)
 
     def test_resolution_extent(self):
         assert degenerate_config(out_dims=64, out_spacing=2.5).extent_mm == pytest.approx(160.0)
 
     def test_validation(self):
-        # the messages name AugmentConfig's own fields, not the experiment keys they come from
-        with pytest.raises(ValueError, match="scale_range"):
-            degenerate_config(scale_range=(0.8, 1.0))
-        with pytest.raises(ValueError, match="intensity_range"):
-            degenerate_config(intensity_range=(0.9, 1.0))
-        with pytest.raises(ValueError):
+        # the messages name the config keys
+        with pytest.raises(ValueError, match="scale_lo"):
+            degenerate_config(scale_lo=0.8)
+        with pytest.raises(ValueError, match="intensity_lo"):
+            degenerate_config(intensity_lo=0.9)
+        with pytest.raises(ValueError, match="mirror_prob"):
             degenerate_config(mirror_prob=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rot_deg"):
             degenerate_config(rot_deg=-1.0)
+
+    @pytest.mark.parametrize("key,bounds", [("scale", SCALE_RANGE), ("intensity", JITTER_RANGE)])
+    def test_range_bounds_are_the_ones_geometry_and_volume_accept(self, key, bounds):
+        lo, hi = bounds
+        assert degenerate_config(**{f"{key}_lo": lo, f"{key}_hi": hi})
+        for lo_hi in ((np.nextafter(lo, 0.0), hi), (lo, np.nextafter(hi, 2.0)), (hi, lo)):
+            with pytest.raises(ValueError, match=f"{key}_lo <= {key}_hi"):
+                degenerate_config(**{f"{key}_lo": lo_hi[0], f"{key}_hi": lo_hi[1]})
 
 
 class TestSampleAugmentation:
@@ -156,7 +169,7 @@ class TestEncodeDecode:
 class TestAugmentSample:
     def test_identity_augmentation_keeps_targets(self, phantom):
         vol, planes = phantom
-        s = augment_sample(vol, planes, degenerate_config(), SeededRng(0), kind=RotationKind.SIXD)
+        s = augment_sample(vol, planes, degenerate_config(), SeededRng(0))
         want = encode_plane_targets(planes, RotationKind.SIXD, 160.0)
         assert np.max(np.abs(s.target - want)) < 1e-12
         assert s.image.shape == (32, 32, 32)
@@ -166,14 +179,14 @@ class TestAugmentSample:
         vol, planes = phantom
         cfg = protocol_config()
         before = interpolation_call_count()
-        augment_sample(vol, planes, cfg, SeededRng(1), kind=RotationKind.SIXD)
+        augment_sample(vol, planes, cfg, SeededRng(1))
         assert interpolation_call_count() - before == 1
 
     def test_label_consistency_through_inverse(self, phantom):
         vol, planes = phantom
         cfg = protocol_config(mirror_prob=0.0)
         for i in range(100):
-            s = augment_sample(vol, planes, cfg, SeededRng(5).derive(i), kind=RotationKind.SIXD)
+            s = augment_sample(vol, planes, cfg, SeededRng(5).derive(i))
             Tinv = np.linalg.inv(s.transform)
             Tinv[3] = [0.0, 0.0, 0.0, 1.0]
             decoded = decode_plane_vector(s.target, RotationKind.SIXD, cfg.extent_mm)
@@ -206,7 +219,7 @@ class TestAugmentSample:
         before = out_of_cube_count()
         flagged = 0
         for i in range(20):
-            s = augment_sample(vol, planes, cfg, SeededRng(11).derive(i), kind=RotationKind.SIXD)
+            s = augment_sample(vol, planes, cfg, SeededRng(11).derive(i))
             flagged += s.center_out_of_bounds
         assert flagged > 0
         assert out_of_cube_count() - before == flagged
@@ -214,9 +227,9 @@ class TestAugmentSample:
     def test_mirrored_sample_flips_anatomy_consistently(self, phantom):
         vol, planes = phantom
         cfg = degenerate_config(mirror_prob=1.0)
-        s = augment_sample(vol, planes, cfg, SeededRng(2), kind=RotationKind.SIXD)
+        s = augment_sample(vol, planes, cfg, SeededRng(2))
         assert s.mirrored
-        ident = augment_sample(vol, planes, degenerate_config(), SeededRng(2), kind=RotationKind.SIXD)
+        ident = augment_sample(vol, planes, degenerate_config(), SeededRng(2))
         assert np.allclose(s.image, ident.image[::-1, :, :], atol=1e-6)
         for moved, orig in zip(s.planes, planes):
             assert np.allclose(moved.A, orig.A * [-1, 1, 1])

@@ -19,7 +19,6 @@ from planereg.config import (
 )
 from planereg.geometry import RotationKind, read_plane_file
 from planereg.harness import EXPERIMENT_SCHEMA, ExperimentConfig
-from planereg.loss_metrics import ORTHOGONALITY_FORMS
 from planereg.model import PlaneRegressionNet, save_checkpoint
 from planereg.phantom import PLANE_NAMES
 
@@ -98,7 +97,6 @@ def experiment_configs(draw):
         alpha=alpha,
         beta=beta,
         gamma=1.0 - alpha - beta,
-        orthogonality_form=draw(st.sampled_from(ORTHOGONALITY_FORMS)),
         epochs=draw(st.integers(0, 10**6)),
         lr=draw(finite(0.0, 1e3)),
         decay=draw(finite(0.0, 1.0)),
@@ -410,6 +408,8 @@ class TestHelpAndErrors:
             ("train", "epochs=-1", "epochs"),
             ("train", "step_size=0", "step_size"),
             ("xval", "k=1", "k"),
+            ("train", "seed=-1", "seed"),
+            ("xval", "seed=-1", "seed"),
         ],
     )
     def test_integer_keys_range_checked_before_any_output(self, dataset_dir, tmp_path, capsys, command, override, key):
@@ -425,7 +425,6 @@ class TestHelpAndErrors:
     @pytest.mark.parametrize(
         "command,override",
         [
-            ("train", "orthogonality_form=foo"),
             ("train", "alpha=0.9"),
             ("xval", "out_spacing=0"),
             ("xval", "scale_hi=1.5"),
@@ -455,6 +454,24 @@ class TestHelpAndErrors:
             ("train", "rot_deg=-1", "rot_deg"),
             ("train", "trans_mm=-1", "trans_mm"),
             ("ablate", "mirror_prob=2", "mirror_prob"),
+            *[("train", f"{key}={value}", key)
+              for key in ("alpha", "beta", "gamma", "lr", "decay", "momentum")
+              for value in ("nan", "inf", "-inf")],
+            ("train", "out_spacing=nan", "out_spacing"),
+            ("xval", "out_spacing=inf", "out_spacing"),
+            ("train", "out_spacing=1e308", "out_spacing"),
+            ("train", "rot_deg=nan", "rot_deg"),
+            ("ablate", "rot_deg=inf", "rot_deg"),
+            ("train", "rot_deg=1e308", "rot_deg"),
+            ("train", "trans_mm=nan", "trans_mm"),
+            ("xval", "trans_mm=inf", "trans_mm"),
+            ("train", "trans_mm=1e308", "trans_mm"),
+            ("train", "lr=-0.1", "lr"),
+            ("xval", "decay=-0.5", "decay"),
+            ("ablate", "momentum=-0.5", "momentum"),
+            ("ablate", "seed=-1", "seed"),
+            ("train", "fc_widths=0", "fc_widths"),
+            ("xval", "fc_widths=16,-3", "fc_widths"),
         ],
     )
     def test_derived_config_errors_name_the_experiment_key(self, dataset_dir, tmp_path, capsys, command, override, key):
@@ -467,8 +484,29 @@ class TestHelpAndErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert key in err
-        # the names of the derived configs' own fields are not config keys
+        # names that are not config keys
         assert not any(name in err for name in ("in_dims", "scale_range", "intensity_range", "output grid"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,override,message",
+        [
+            ("train", "mode=calcaneus", "manifest mode 'ankle'"),
+            ("xval", "mode=calcaneus", "manifest mode 'ankle'"),
+            ("ablate", "mode=calcaneus", "manifest mode 'ankle'"),
+            ("xval", "k=5", "k=5 patients, got 4"),
+            ("ablate", "k=5", "k=5 patients, got 4"),
+        ],
+    )
+    def test_manifest_checked_against_config_before_any_output(self, dataset_dir, tmp_path, capsys, command, override, message):
+        out = tmp_path / "o"
+        axis = ["--axis", "representation"] if command == "ablate" else []
+        code = run_cli(
+            command, *axis, "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(out),
+            *TRAIN_OVERRIDES, "--set", override,
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_integer_fold_names_option(self, dataset_dir, tmp_path, capsys):
@@ -505,6 +543,7 @@ class TestHelpAndErrors:
             (["pose_trans_mm=inf"], "pose_trans_mm"),
             (["pose_trans_mm=1e308"], "pose_trans_mm"),
             (["pose_rot_deg=1e308"], "pose_rot_deg"),
+            (["seed=-1"], "seed"),
         ],
     )
     def test_phantom_bounds_named(self, tmp_path, capsys, overrides, key):

@@ -92,7 +92,6 @@ class TestExperimentConfig:
             representation=RotationKind.QUATERNION,
             out_dims=33,
             out_spacing=0.1 + 0.2,
-            orthogonality_form="dot",
             epochs=7,
             lr=1.0 / 3.0,
             channels=(4, 6),
@@ -121,7 +120,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"orthogonality_form": "foo"},
+            {"seed": -1},
             {"step_size": 0},
             {"alpha": 0.7},
             {"gamma": -0.5, "alpha": 1.0},
@@ -135,6 +134,12 @@ class TestExperimentConfig:
     def test_invalid_values_rejected_when_built(self, bad):
         with pytest.raises(ValueError):
             tiny_config(**bad)
+
+    @pytest.mark.parametrize("key", [key for key, f in EXPERIMENT_SCHEMA.items() if f.type == "float"])
+    def test_non_finite_float_keys_rejected(self, key):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+                tiny_config(**{key: value})
 
 
 class TestSplit:
@@ -432,6 +437,13 @@ class TestFoldsAndAblations:
 
     def test_resolution_axis_uses_published_pairs(self):
         assert ABLATION_AXES["resolution"] == [(64, 2.5), (72, 2.2), (128, 1.2)]
+
+    def test_cell_the_config_cannot_hold_fails_before_any_output(self, tiny_dataset, tmp_path):
+        # seven pooling steps need 128 voxels; the first resolution cell has 64
+        cfg = tiny_config(out_dims=128, out_spacing=1.0, channels=(2,) * 7)
+        with pytest.raises(ConfigError, match="out_dims must be at least 128, got 64"):
+            ablation_driver("resolution", cfg, tiny_dataset, tmp_path / "r", folds=[0])
+        assert not (tmp_path / "r").exists()
 
     def test_weight_grid_contains_presets(self):
         grid = ABLATION_AXES["weights"]

@@ -67,6 +67,11 @@ class TestLossWeights:
         with pytest.raises(ValueError):
             LossWeights(1.2, -0.2, 0.0)
 
+    @pytest.mark.parametrize("weights", [(np.nan, 0.5, 0.5), (0.5, np.nan, 0.5), (0.5, 0.5, np.nan)])
+    def test_nan_rejected(self, weights):
+        with pytest.raises(ValueError, match="non-negative"):
+            LossWeights(*weights)
+
     def test_presets(self):
         assert WEIGHT_PRESETS["calcaneus"]["optimized_combined"] == LossWeights(0.6, 0.3, 0.1)
         assert WEIGHT_PRESETS["ankle"]["optimized_combined"] == LossWeights(0.2, 0.8, 0.0)
@@ -168,14 +173,6 @@ class TestLoss:
         val, _ = loss(vec, vec, LossWeights(0.0, 0.0, 1.0), kind, 3)
         assert val == pytest.approx((1.0 - np.cos(theta)) / 3.0, abs=1e-9)
         assert val > 0.0
-
-    def test_dot_form_available(self):
-        kind = RotationKind.SIXD
-        target = _orthogonal_targets(kind)
-        val, _ = loss(target, target, LossWeights(0.0, 0.0, 1.0), kind, 3, orthogonality_form="dot")
-        assert val == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            loss(target, target, LossWeights(0.0, 0.0, 1.0), kind, 3, orthogonality_form="nope")
 
     def test_batched_graph_matches_singles(self):
         kind = RotationKind.SIXD
