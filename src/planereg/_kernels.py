@@ -1,6 +1,6 @@
-"""Numpy kernels for the 3x3x3 convolution, 2x2x2 max pooling, and the fused conv block.
+"""Numpy kernels for the fused conv block: 3x3x3 convolution, 2x2x2 max pooling and ReLU in one op.
 
-Every kernel splits its batch into tasks and hands them to
+Both kernels split their batch into tasks and hand them to
 :func:`_map_tasks`, which runs them on one lazily built thread pool with a
 worker per CPU this process may use (``os.sched_getaffinity``).  Workers
 take tasks from a queue, so a core that stalls delays only the task it
@@ -9,17 +9,16 @@ tasks inline, on the calling thread, when its tasks are small, when it has
 only one, when the process may use one CPU, or when it is made from inside
 a pooled task (say, a resample inside one of ``harness.train``'s pooled
 batch fills): a task that waited there on tasks queued behind it could
-stall every worker.  A conv task is small below ``_MIN_MACS`` (2^23)
-multiply-adds; a pooling task, or a batch row that ``harness.train`` fills,
-below ``_MIN_TASK`` elements in its largest array.  A fused block's task
-counts as its conv's.
+stall every worker.  A block's task is small below ``_MIN_MACS`` (2^23)
+multiply-adds of its conv.  ``harness.train`` runs its batch fill through
+the same pool, one task per batch row, and ``_MIN_TASK`` now governs only
+that fill: a row is small below ``_MIN_TASK`` elements.
 
-A conv or fused forward makes one task per sample, unless its batch has
-fewer samples than the pool has workers.  Then :func:`_split_parts` splits
-each sample's output depths into near-equal contiguous ranges, of whole
-pairs of depths for a fused block, as many as there are workers per sample,
-but no more than the sample has slabs (below) at the full ``_SLAB``, and
-none below ``_MIN_MACS``.  Each range's column and product buffers are
+A forward makes one task per sample, unless its batch has fewer samples
+than the pool has workers.  Then :func:`_split_parts` splits each sample's
+output depths into near-equal contiguous ranges of whole pairs of depths,
+as many as there are workers per sample, but no more than the sample has
+slabs (below) at the full ``_SLAB``, and none below ``_MIN_MACS``.  Each range's column and product buffers are
 sized from ``_SLAB // parts``, so the call holds no more of them than one
 unsplit task, and a split sample's tasks read one padded input that the
 call builds before they start.  On 2 workers that splits the B=1 forwards
@@ -106,18 +105,19 @@ and its backward from 12.9-13.4 to 9.1-9.4 ms, the third's from 3.1-3.2 to
 to 0.79-0.80 ms and from 2.0 to 1.55 ms; the fifth's forward went from 0.49
 to 0.55 ms and its backward from 1.10 to 1.05 ms.
 
-A slab holds ``dz`` depths (at least one, at most ``D``; :func:`_slab_depth`)
-such that its column rows and stacked product rows, ``(C*9 + 3*O)*dz*P``
-elements, fit ``_SLAB``; a one-channel input counts its ``27*dz*P`` column
-elements alone, as it did before the fold.  So the buffers hold at most
-about 5 MB in float32 unless one depth alone needs more, and a slab is
-multiplied while its columns are still warm in cache.  Each task allocates
+A slab holds ``dz`` depths (:func:`_slab_depth`) such that its column rows
+and stacked product rows, ``(C*9 + 3*O)*dz*P`` elements, fit ``_SLAB``; a
+one-channel input counts its ``27*dz*P`` column elements alone, as it did
+before the fold.  Depths pool in pairs, so ``dz`` is rounded down to even,
+and is at least 2, and the slabs cover the ``D // 2 * 2`` depths that the
+pooling reads.  So the buffers hold at most about 5 MB in float32 unless
+two depths alone need more, and a slab is multiplied while its columns are
+still warm in cache.  Each task allocates
 one column buffer and one product or gradient stack of that fixed size,
 which serve every slab of its range, so two workers hold about as much
 buffer memory as one 10 MB buffer; no call maps a whole sample's or batch's
-columns.  The benchmark's five 72^3 blocks take slabs of 8, 7, 13, 9 and 4
-depths (fused: 8, 6, 12, 8 and 4), so 9, 6, 2, 1 and 1 slabs per sample.
-Counting the columns alone, the benchmark's 72^3 B=8 training peaked at
+columns.  The benchmark's five 72^3 blocks take slabs of 8, 6, 12, 8 and 4
+depths, so 9, 6, 2, 1 and 1 slabs per sample.  Counting the columns alone, the benchmark's 72^3 B=8 training peaked at
 167.8 and 169.2 MB (seeds 1 and 2) at the same speed; counting both, at
 161.3 and 162.0 MB, against a median of 162.7 MB unfolded.
 
@@ -127,38 +127,29 @@ is another summation order than the unfolded lowering's, and the outputs
 differ from it in float32 rounding.  The split changes the slab depths, and
 so how many columns each product multiplies, but in the OpenBLAS that numpy
 ships not the order of any of those dot products: for the benchmark's five
-72^3 blocks, plain and fused, with the first-maximum record on and off, a
-split B=1 forward is bitwise row 0 of a B=2 call on 1, 2 and 3 workers.  A
-backward's slab depths depend on ``C``, ``O``, ``D``, ``H`` and ``W``
+72^3 blocks, with the first-maximum record on and off, a split B=1 forward
+is bitwise row 0 of a B=2 call on 1, 2 and 3 workers.  A backward's slab
+depths depend on ``C``, ``O``, ``D``, ``H`` and ``W``
 only, never on the batch size.  Each sample's output and input gradient
 depend only on that sample.  So a sample's rows come out bitwise identical
 whatever the batch, and every result is bitwise the same inline or pooled,
 whatever the worker count or the order the tasks ran in.
 
-Max pooling folds the eight stride-2 views of each sample, in ``(a, b, c)``
-offset order, with ``np.maximum``.  The backward pass zeroes the sample's
-gradient and walks the views in the same order, and each view claims the
-outputs it equals that no earlier view claimed, so the gradient goes to the
-first maximum of each block.  For a fixed input every result is bitwise
-deterministic.
-
 The network runs each conv block, ``relu(maxpool3d(conv3d(x)))``, as one
 fused op, and never allocates the conv output or its gradient (Alwani et
 al., 2016, "Fused-Layer CNN Accelerators").  :func:`conv_block_forward`
-draws its slabs from the same tasks as the plain forward, with ``even``: the
-slabs cover the ``D // 2 * 2`` depths that the pooling reads, and each holds
-an even number of them, ``dz`` rounded down to even and at least 2, since
-depths pool in pairs.  Each slab's product, while it is still in cache, is
-folded over its eight stride-2 views into the slab's ``n/2`` pooled depths,
-in the same offset order and with the same ``np.maximum`` as
-:func:`maxpool3d_forward`.  Then the bias goes on, to the pooled eighth of
-the values, and the ReLU after it.  Rounding is monotone, so ``max(p) + b``
-is bitwise ``max(p + b)``, and the outputs are bitwise those of the three
-ops: for the benchmark's five 72^3 blocks at B=1 and B=8 in float32 they
-are.  Adding the bias to the whole slab before the max made a 72^3 B=1
-``predict`` 1.5% slower (median 18.4 against 18.1 ms, 2 vCPUs).  The odd
+folds each slab's product, while it is still in cache, over its eight
+stride-2 views, in ``(a, b, c)`` offset order (``_OFFSETS``) and with
+``np.maximum``, into the slab's ``n/2`` pooled depths.  Then the bias goes
+on, to the pooled eighth of the values, and the ReLU after it.  Rounding is
+monotone, so ``max(p) + b`` is bitwise ``max(p + b)``.  Adding the bias to
+the whole slab before the max made a 72^3 B=1 ``predict`` 1.5% slower
+(median 18.4 against 18.1 ms, 2 vCPUs).  The odd
 trailing depth is never computed; the odd trailing row and column are
-computed but never read.  All three get zero gradient.
+computed but never read.  All three get zero gradient.  For a fixed input
+every result is bitwise deterministic.  The engine's ``conv3d`` and
+``maxpool3d`` are direct references for the block, outside these kernels;
+through autodiff they agree with it to rounding.
 
 When the tape is on (``record``), the fold also writes ``first``, a uint8
 array of the pooled shape: per pooled output, the offset index of its
@@ -166,15 +157,15 @@ block's first maximum.  A later view claims a block only by exceeding the
 running maximum, and codes only grow along the fold, so each claim is a
 ``np.maximum`` of codes, without a branch.  The first maximum is taken on
 the raw sums, before the bias: where two sums differ but round to one
-biased value, the three ops route the gradient to the earlier voxel, and
-the fused block to the larger sum.  A block whose maximum is NaN gets a
-code, but its output is NaN, so the ReLU mask routes it nothing, as before.
-The record costs ``first`` (a quarter of the pooled output's bytes in
+biased value, pooling the biased conv output routes the gradient to the
+earlier voxel, and the fused block to the larger sum.  A block whose
+maximum is NaN gets a code, but its output is NaN, so the ReLU mask routes
+it nothing.  The record costs ``first`` (a quarter of the pooled output's bytes in
 float32) and a few uint8 passes; inference records nothing.
 
-:func:`conv_block_backward` runs the same slab loop as the conv backward.
-For each slab, its fill (:func:`_block_fill`) masks the pooled gradient by
-``out > 0`` (the ReLU), zeroes ``gext`` and puts each value at its block's
+:func:`conv_block_backward` runs each sample's slabs through
+:func:`_sample_gradients`.  For each slab, its fill (:func:`_block_fill`)
+masks the pooled gradient by ``out > 0`` (the ReLU), zeroes ``gext`` and puts each value at its block's
 first maximum with one ``np.put``, so the other seven voxels of each block
 get +0.  The index of a value is its block's corner in the flat ``gext``
 rows plus the padded-plane offset of its code; :func:`_block_corners` builds
@@ -223,8 +214,8 @@ import numpy as np
 _OFFSETS = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
 _TAPS = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
 _SLAB = 5 << 18  # elements in a task's column buffer: 5 MB in float32
-_MIN_TASK = 1 << 18  # elements of a pool or batch-fill task's largest array below which a call runs inline: 1 MB in float32
-_MIN_MACS = 1 << 23  # multiply-adds of a conv task below which a conv call runs inline
+_MIN_TASK = 1 << 18  # elements of a batch-fill task's largest array below which a call runs inline: 1 MB in float32
+_MIN_MACS = 1 << 23  # multiply-adds of a conv block's task below which its call runs inline
 
 _M_ARENA_MAX = -8  # glibc's mallopt parameter number
 
@@ -289,8 +280,8 @@ def _map_tasks(fn, n: int, size: int, min_size: int) -> list:
     """``[fn(0), ..., fn(n - 1)]``, inline if ``size < min_size``, else through :func:`_run_tasks`.
 
     ``size`` measures one task's work, in the unit of ``min_size``: a conv
-    passes its multiply-adds and ``_MIN_MACS``, other callers the element
-    count of its largest array and ``_MIN_TASK``.
+    block passes its multiply-adds and ``_MIN_MACS``, ``harness.train``'s
+    batch fill the element count of one batch row and ``_MIN_TASK``.
     """
     if size < min_size:
         return [fn(i) for i in range(n)]
@@ -347,23 +338,20 @@ def _unstacked(gst, shape):
     return gst.reshape(C, 27 // S, S, O).transpose(3, 0, 1, 2).reshape(shape)
 
 
-def _slab_depth(shape, O, even, budget):
+def _slab_depth(shape, O, budget):
     """``(depths, dz)`` for one ``(C, D, H, W)`` sample, ``O`` output channels and ``budget`` buffer elements.
 
-    The slabs cover ``depths`` output depths, ``dz`` at a time and fewer in
-    the last.  A depth costs its ``C*9`` column rows and ``3*O`` stacked
-    product rows, or, for one input channel, its 27 column rows alone.
-    With ``even``, the slabs cover the ``D // 2 * 2`` depths that a 2x2x2
-    pooling reads, and ``dz`` is even, at least two.
+    The slabs cover the ``D // 2 * 2`` depths that the 2x2x2 pooling reads,
+    ``dz`` at a time and fewer in the last; ``dz`` is even, at least two,
+    since depths pool in pairs.  A depth costs its ``C*9`` column rows and
+    ``3*O`` stacked product rows, or, for one input channel, its 27 column
+    rows alone.
     """
     C, D, H, W = shape
     S = _shifts(C)
     rows = C * 27 if S == 1 else C * 9 + S * O
-    depths = D // 2 * 2 if even else D
-    dz = max(1, min(depths, budget // (rows * (H + 2) * (W + 2))))
-    if even:
-        dz = max(2, dz // 2 * 2)
-    return depths, dz
+    depths = D // 2 * 2
+    return depths, max(2, min(depths, budget // (rows * (H + 2) * (W + 2))) // 2 * 2)
 
 
 def _padded(xs, dtype):
@@ -406,7 +394,7 @@ def _plane_slabs(flat, shape, dz, lo, hi):
         yield z0, n, cols.reshape(C * T, m)
 
 
-def _split_parts(B, shape, O, even):
+def _split_parts(B, shape, O):
     """How many tasks each sample's forward slabs go to: one, unless the batch leaves workers idle.
 
     With fewer samples than workers, a sample is split into as many
@@ -415,15 +403,15 @@ def _split_parts(B, shape, O, even):
     ``_MIN_MACS`` multiply-adds.
     """
     C, D, H, W = shape
-    depths, dz = _slab_depth(shape, O, even, _SLAB)
+    depths, dz = _slab_depth(shape, O, _SLAB)
     parts = min(_worker_count() // max(B, 1), -(-depths // dz))
     while parts > 1 and O * C * 27 * D * H * W < parts * _MIN_MACS:
         parts -= 1
     return max(parts, 1)
 
 
-def _map_forward(x, wst, dtype, even, consume):
-    """Call ``consume(s, z0, n, prod)`` for every slab of every sample of ``x``, in tasks.
+def _map_forward(x, wst, dtype, consume):
+    """Call ``consume(s, z0, n, prod)`` for every slab of :func:`_slab_depth` of every sample of ``x``, in tasks.
 
     ``wst`` is the :func:`_stacked` weight matrix.  ``prod`` is the slab's
     ``(O, n, H+2, W+2)`` convolution without the bias, on its padded planes;
@@ -433,7 +421,7 @@ def _map_forward(x, wst, dtype, even, consume):
     serves every slab of its task, so it is valid only until the next is
     drawn.  Each task covers one contiguous range of one sample's depths:
     the whole sample, or one of :func:`_split_parts`'s near-equal ranges
-    (of even length with ``even``), whose buffers are sized from ``_SLAB //
+    of whole pairs of depths, whose buffers are sized from ``_SLAB //
     parts`` so that the call holds no more buffer memory than one unsplit
     task.  A split sample's tasks read one padded input, built before they
     start.
@@ -442,10 +430,9 @@ def _map_forward(x, wst, dtype, even, consume):
     S = _shifts(C)
     O = wst.shape[0] // S
     P = (H + 2) * (W + 2)
-    parts = _split_parts(B, x.shape[1:], O, even)
-    depths, dz = _slab_depth(x.shape[1:], O, even, _SLAB // parts)
-    unit = 2 if even else 1
-    edges = [depths // unit * k // parts * unit for k in range(parts + 1)]
+    parts = _split_parts(B, x.shape[1:], O)
+    depths, dz = _slab_depth(x.shape[1:], O, _SLAB // parts)
+    edges = [depths // 2 * k // parts * 2 for k in range(parts + 1)]
     flats = [_padded(x[s], dtype) for s in range(B)] if parts > 1 else None
 
     def task(i):
@@ -463,11 +450,11 @@ def _map_forward(x, wst, dtype, even, consume):
     _map_tasks(task, B * parts, O * C * 27 * D * H * W // parts, _MIN_MACS)
 
 
-def _sample_gradients(xs, wst, fill, need_gx, dtype, even=False):
+def _sample_gradients(xs, wst, fill, need_gx, dtype):
     """One sample's convolution gradients, slab by slab: ``(gst, gxs)``.
 
-    ``wst`` is the :func:`_stacked` weight matrix.  For each slab of
-    ``xs``'s output depths at the full ``_SLAB``, ``fill(gext, z0, n)``
+    ``wst`` is the :func:`_stacked` weight matrix.  For each of
+    :func:`_slab_depth`'s slabs at the full ``_SLAB``, ``fill(gext, z0, n)``
     writes the gradient of the slab's conv outputs into ``gext``, the
     C-contiguous ``(O, dz*P + S-1)`` rows of the gradient stack's block 0:
     row ``o``'s first ``n*P`` columns are output channel ``o``'s ``(n,
@@ -483,7 +470,7 @@ def _sample_gradients(xs, wst, fill, need_gx, dtype, even=False):
     O = wst.shape[0] // S
     P = (H + 2) * (W + 2)
     offsets = _row_offsets(H, W, S)
-    depths, dz = _slab_depth(xs.shape, O, even, _SLAB)
+    depths, dz = _slab_depth(xs.shape, O, _SLAB)
     gst = np.zeros((C * 27 // S, S * O), dtype=dtype)
     gflat = np.zeros((C, (D + 3) * P), dtype=dtype) if need_gx else None
     # row block k is gext shifted right by k columns; every row keeps the deepest slab's stride
@@ -521,54 +508,8 @@ def _sum_in_order(parts):
     return total
 
 
-def conv3d_forward(x, w, bias):
-    """3x3x3 convolution, stride 1, zero padding 1.
-
-    ``x`` is ``(B, C, D, H, W)``, ``w`` is ``(O, C, 3, 3, 3)``; returns
-    ``(B, O, D, H, W)``.
-    """
-    B, C, D, H, W = x.shape
-    O = w.shape[0]
-    dtype = np.result_type(x, w, bias)
-    b = bias.astype(dtype, copy=False)[:, None, None, None]
-    out = np.empty((B, O, D, H, W), dtype=dtype)
-
-    def consume(s, z0, n, prod):
-        # the bias goes on as the slab's interior is copied out
-        np.add(prod[:, :, :H, :W], b, out=out[s, :, z0 : z0 + n])
-
-    _map_forward(x, _stacked(w, dtype), dtype, False, consume)
-    return out
-
-
-def conv3d_backward(x, w, gout, need_gx: bool = True):
-    """Gradients of :func:`conv3d_forward` w.r.t. input, weights, and bias.
-
-    Pass ``need_gx=False`` to skip the input gradient (first layer); it is
-    then returned as ``None``.
-    """
-    B, C, D, H, W = x.shape
-    O = w.shape[0]
-    P = (H + 2) * (W + 2)
-    dtype = np.result_type(x, w, gout)
-    wst = _stacked(w, dtype)
-    gx = np.empty(x.shape, dtype=dtype) if need_gx else None
-
-    def sample(s):
-        def fill(gext, z0, n):
-            gext[:, : n * P].reshape(O, n, H + 2, W + 2)[:, :, :H, :W] = gout[s, :, z0 : z0 + n]
-
-        gst, gxs = _sample_gradients(x[s], wst, fill, need_gx, dtype)
-        if need_gx:
-            gx[s] = gxs
-        return gst
-
-    gst = _sum_in_order(_map_tasks(sample, B, O * C * 27 * D * H * W, _MIN_MACS))
-    return gx, _unstacked(gst, w.shape), gout.sum(axis=(0, 2, 3, 4))
-
-
 def conv_block_forward(x, w, bias, record: bool = False):
-    """One conv block, ``relu(maxpool3d(conv3d_forward(x, w, bias)))``, slab by slab.
+    """One conv block, 3x3x3 convolution, 2x2x2 max pooling and ReLU, slab by slab.
 
     Returns ``(out, first)``: ``out`` is ``(B, O, D//2, H//2, W//2)``, and
     ``first`` is None unless ``record``, when it is a uint8 array of
@@ -605,7 +546,7 @@ def conv_block_forward(x, w, bias, record: bool = False):
         np.add(pooled, b, out=pooled)
         np.maximum(pooled, 0.0, out=pooled)
 
-    _map_forward(x, _stacked(w, dtype), dtype, True, consume)
+    _map_forward(x, _stacked(w, dtype), dtype, consume)
     return out, first
 
 
@@ -621,7 +562,7 @@ def _block_corners(shape, O):
     C, D, H, W = shape
     S = _shifts(C)
     P = (H + 2) * (W + 2)
-    depths, dz = _slab_depth(shape, O, True, _SLAB)
+    depths, dz = _slab_depth(shape, O, _SLAB)
     delta = np.array([a * P + c * (W + 2) + e for a, c, e in _OFFSETS], dtype=np.intp)
     bases = {}
     for z0 in range(0, depths, dz):
@@ -678,7 +619,7 @@ def conv_block_backward(x, w, out, first, gout, need_gx: bool = True):
     def sample(s):
         gb = np.zeros(O, dtype=gout.dtype)
         fill = _block_fill(out[s], first[s], gout[s], gb, corners)
-        gst, gxs = _sample_gradients(x[s], wst, fill, need_gx, dtype, even=True)
+        gst, gxs = _sample_gradients(x[s], wst, fill, need_gx, dtype)
         if need_gx:
             gx[s] = gxs
         return gst, gb
@@ -686,46 +627,3 @@ def conv_block_backward(x, w, out, first, gout, need_gx: bool = True):
     parts = _map_tasks(sample, B, O * C * 27 * D * H * W, _MIN_MACS)
     gst = _sum_in_order([p[0] for p in parts])
     return gx, _unstacked(gst, w.shape), _sum_in_order([p[1] for p in parts])
-
-
-def _views(x):
-    """The eight stride-2 views of ``x``'s even-sized corner, in offset order."""
-    D2, H2, W2 = (n // 2 * 2 for n in x.shape[-3:])
-    return [x[..., a:D2:2, b:H2:2, c:W2:2] for a, b, c in _OFFSETS]
-
-
-def maxpool3d_forward(x):
-    """2x2x2 max pooling with stride 2 (odd trailing slices are dropped)."""
-    B, C, D, H, W = x.shape
-    out = np.empty((B, C, D // 2, H // 2, W // 2), dtype=x.dtype)
-
-    def sample(s):
-        views = _views(x[s])
-        np.maximum(views[0], views[1], out=out[s])
-        for v in views[2:]:
-            np.maximum(out[s], v, out=out[s])
-
-    _map_tasks(sample, B, C * D * H * W, _MIN_TASK)
-    return out
-
-
-def maxpool3d_backward(x, out, gout):
-    """Gradient of :func:`maxpool3d_forward`, routed to each block's first maximum.
-
-    ``x`` is the pooled input and ``out`` its pooled output.  Dropped odd
-    trailing slices get zero gradient, and so does a block whose maximum is
-    NaN, since NaN equals nothing.
-    """
-    gx = np.empty(x.shape, dtype=gout.dtype)
-
-    def sample(s):
-        gx[s] = 0
-        unclaimed = np.ones(out.shape[1:], dtype=bool)
-        for v, gv in zip(_views(x[s]), _views(gx[s])):
-            hit = v == out[s]
-            hit &= unclaimed
-            np.copyto(gv, gout[s], where=hit)
-            unclaimed ^= hit
-
-    _map_tasks(sample, x.shape[0], x[0].size, _MIN_TASK)
-    return gx

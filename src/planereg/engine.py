@@ -8,7 +8,8 @@ regression network and its loss need: broadcasting arithmetic, reductions,
 indexing, matmul, ReLU, and the conv block, each block of the network as one
 op (:func:`conv_block`: 3x3x3 convolution, 2x2x2 max pooling, then ReLU).
 The convolution and the pooling are also ops of their own, :func:`conv3d`
-and :func:`maxpool3d`: the reference the fused block is tested against.
+and :func:`maxpool3d`: short direct references, which the network never
+runs, for testing the fused block through autodiff.
 """
 
 from __future__ import annotations
@@ -309,23 +310,53 @@ def _check_conv(x, w) -> None:
         raise ValueError(f"conv3d weights {w.shape} incompatible with input {x.shape}")
 
 
+def _windows(a):
+    """``(B, C, D, H, W, 3, 3, 3)``: each voxel's 3x3x3 neighbourhood in ``a`` zero-padded by one."""
+    padded = np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
+    return np.lib.stride_tricks.sliding_window_view(padded, (3, 3, 3), axis=(2, 3, 4))
+
+
 def conv3d(x, w, bias) -> Tensor:
-    """3x3x3 convolution, stride 1, zero padding 1, over ``(B, C, D, H, W)``."""
+    """3x3x3 convolution, stride 1, zero padding 1, over ``(B, C, D, H, W)``.
+
+    A direct reference for :func:`conv_block`: each output and gradient is
+    one sum over taps, channels and voxels.  A NaN or infinite input reaches
+    every output whose window holds it, through zero weights too.
+    """
     x, w, bias = as_tensor(x), as_tensor(w), as_tensor(bias)
     _check_conv(x, w)
 
     def vjp(g):
-        gx, gw, gb = _kernels.conv3d_backward(x.data, w.data, g, need_gx=x.requires_grad)
-        return gx, gw, gb
+        # the adjoint sums: the input gradient convolves g with each weight flipped, input and output swapped
+        gx = np.einsum("bodhwijk,ocijk->bcdhw", _windows(g), w.data[:, :, ::-1, ::-1, ::-1])
+        return gx, np.einsum("bodhw,bcdhwijk->ocijk", g, _windows(x.data)), g.sum(axis=(0, 2, 3, 4))
 
-    return _make(_kernels.conv3d_forward(x.data, w.data, bias.data), (x, w, bias), vjp)
+    out = np.einsum("bcdhwijk,ocijk->bodhw", _windows(x.data), w.data) + bias.data[:, None, None, None]
+    return _make(out, (x, w, bias), vjp)
 
 
 def maxpool3d(x) -> Tensor:
-    """2x2x2 max pooling with stride 2; gradient goes to the first maximum."""
+    """2x2x2 max pooling with stride 2; odd trailing slices are dropped.
+
+    A direct reference for :func:`conv_block`.  Each output is its block's
+    first maximum in ``(depth, row, column)`` offset order, and takes the
+    block's gradient; the block's other voxels get zero.  ``argmax`` counts
+    NaN as the largest value, so a block that holds a NaN outputs NaN and
+    routes its gradient to its first NaN.
+    """
     x = as_tensor(x)
-    out = _kernels.maxpool3d_forward(x.data)
-    return _make(out, (x,), lambda g: (_kernels.maxpool3d_backward(x.data, out, g),))
+    D2, H2, W2 = (n // 2 * 2 for n in x.shape[2:])
+    corners = [(..., slice(a, D2, 2), slice(b, H2, 2), slice(c, W2, 2)) for a in range(2) for b in range(2) for c in range(2)]
+    blocks = np.stack([x.data[s] for s in corners], axis=-1)
+    first = blocks.argmax(axis=-1)
+
+    def vjp(g):
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        for k, s in enumerate(corners):
+            gx[s] = np.where(first == k, g, 0)
+        return (gx,)
+
+    return _make(np.take_along_axis(blocks, first[..., None], axis=-1)[..., 0], (x,), vjp)
 
 
 def conv_block(x, w, bias) -> Tensor:
@@ -334,7 +365,7 @@ def conv_block(x, w, bias) -> Tensor:
     The full-resolution conv output and its gradient are never held: the
     kernels pool each slab of it as it is computed, and the tape keeps only
     the pooled output and, per pooled value, the offset of its block's first
-    maximum.  The forward output is bitwise that of the three ops.
+    maximum.
     """
     x, w, bias = as_tensor(x), as_tensor(w), as_tensor(bias)
     _check_conv(x, w)

@@ -40,6 +40,7 @@ logger = logging.getLogger(__name__)
 
 _AUG_TAG = 1000  # seed-sequence namespace for per-sample augmentation draws
 _FLOAT_MAX = float(np.finfo(float).max)
+_MAX_DIMS = (1 << (np.iinfo(np.intp).bits - 1) // 3) - 1  # a side whose cube of voxels numpy can index: 2**21 - 1 at 64 bits
 
 
 class TrainingDivergedError(RuntimeError):
@@ -94,6 +95,8 @@ class ExperimentConfig:
         for key, low in lowest.items():
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        if self.out_dims > _MAX_DIMS:
+            raise ConfigError(f"out_dims must be at most {_MAX_DIMS}, got {self.out_dims}")
         for key in ("lr", "decay", "momentum"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
@@ -196,8 +199,11 @@ class Sample:
 
 def load_samples(manifest_path) -> list[Sample]:
     base_dir = os.path.dirname(os.fspath(manifest_path))
+    entries = read_manifest(manifest_path)
+    if not entries:
+        raise ValueError(f"{manifest_path}: the manifest lists no volumes")
     samples = []
-    for entry in read_manifest(manifest_path):
+    for entry in entries:
         stem = os.path.join(base_dir, entry.path)
         vol = read_volume(stem + ".vhdr")
         planes = read_plane_file(stem + ".planes")

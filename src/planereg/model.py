@@ -8,12 +8,11 @@ without NaN this is bitwise equal to ReLU before pooling, gradients and
 signed zeros included (ReLU is monotone, and both orders send a block's
 gradient to its first maximum or nowhere), and the ReLU runs on an eighth of
 the values.  Each block is one engine op, :func:`engine.conv_block`, which
-never holds the block's full-resolution conv output or its gradient; its
-output is bitwise that of the three ops.  There is no dropout and no
-batch statistics anywhere, so single-sample and batched forward passes agree
-to float32 rounding.  The conv blocks compute each sample on its own and give
-bitwise-identical rows for any batch size; only the FC matmuls may sum in a
-different order for each batch size.
+never holds the block's full-resolution conv output or its gradient.  There
+is no dropout and no batch statistics anywhere, so single-sample and batched
+forward passes agree to float32 rounding.  The conv blocks compute each
+sample on its own and give bitwise-identical rows for any batch size; only
+the FC matmuls may sum in a different order for each batch size.
 
 Checkpoint layout (little endian throughout)::
 

@@ -447,6 +447,7 @@ class TestHelpAndErrors:
         [
             ("train", "out_spacing=0", "out_spacing"),
             ("train", "out_dims=1", "out_dims"),
+            pytest.param("train", f"out_dims=1{'0' * 330}", "out_dims", id="train-out_dims=1e330-out_dims"),
             ("train", "channels=2,4,8,16,32", "out_dims"),
             ("train", "scale_hi=1.5", "scale_hi"),
             ("xval", "scale_lo=0.5", "scale_lo"),
@@ -507,6 +508,17 @@ class TestHelpAndErrors:
         )
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "xval"])
+    def test_empty_manifest_exits_1_before_any_output(self, trained_dir, tmp_path, capsys, command):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("# no volumes\n", encoding="ascii")
+        out = tmp_path / "o"
+        source = ["--checkpoint", str(trained_dir / "checkpoint.bin")] if command == "eval" else TRAIN_OVERRIDES
+        code = run_cli(command, "--manifest", str(manifest), "--out", str(out), *source)
+        assert code == 1
+        assert f"{manifest}: the manifest lists no volumes" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_integer_fold_names_option(self, dataset_dir, tmp_path, capsys):

@@ -261,10 +261,10 @@ class TestEngineOps:
 
         monkeypatch.setattr(_kernels, "conv_block_forward", spy)
         rng = np.random.default_rng(17)
-        x = rng.standard_normal((2, 3, 6, 5, 7)).astype(np.float32)
-        w = rng.standard_normal((4, 3, 3, 3, 3)).astype(np.float32)
-        b = rng.standard_normal(4).astype(np.float32)
-        g = rng.standard_normal((2, 4, 3, 2, 3)).astype(np.float32)
+        x = rng.standard_normal((2, 3, 6, 5, 7))
+        w = rng.standard_normal((4, 3, 3, 3, 3))
+        b = rng.standard_normal(4)
+        g = rng.standard_normal((2, 4, 3, 2, 3))
 
         def run(block):
             ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
@@ -274,10 +274,10 @@ class TestEngineOps:
 
         fused = run(engine.conv_block)
         three = run(lambda *ts: engine.relu(engine.maxpool3d(engine.conv3d(*ts))))
-        assert fused[0].tobytes() == three[0].tobytes()
-        for a, c in zip(fused[1:], three[1:]):
+        # the three ops are direct references, which sum in other orders: they agree to float64 rounding
+        for a, c in zip(fused, three):
             assert a.dtype == c.dtype and a.shape == c.shape
-            np.testing.assert_allclose(a, c, rtol=1e-5, atol=1e-5)
+            np.testing.assert_allclose(a, c, rtol=1e-12, atol=1e-12)
         with engine.no_grad():
             assert engine.conv_block(*(Tensor(a, requires_grad=True) for a in (x, w, b))).data.tobytes() == fused[0].tobytes()
         engine.conv_block(x, w, b)  # no input needs a gradient
@@ -335,21 +335,22 @@ class TestEngineOps:
         assert pool_first[1][0, 2, 0, 1, 1] == g[0, 2, 0, 0, 0] and pool_first[1][0, 2, 1, 0, 0] == 0.0
 
     def test_maxpool_matches_block_max(self):
-        from planereg import _kernels
-
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((2, 3, 7, 6, 5))  # odd dims exercise cropping
-        out = _kernels.maxpool3d_forward(x)
-        B, C, D, H, W = x.shape
+        data = rng.standard_normal((2, 3, 7, 6, 5))  # odd dims exercise cropping
+        x = Tensor(data, requires_grad=True)
+        pooled = engine.maxpool3d(x)
+        out = pooled.data
+        B, C, D, H, W = data.shape
         blocks = (
-            x[:, :, :6, :6, :4]
+            data[:, :, :6, :6, :4]
             .reshape(B, C, 3, 2, 3, 2, 2, 2)
             .transpose(0, 1, 2, 4, 6, 3, 5, 7)
             .reshape(B, C, 3, 3, 2, 8)
         )
         assert np.array_equal(out, blocks.max(axis=-1))
         g = rng.standard_normal(out.shape)
-        gx = _kernels.maxpool3d_backward(x, out, g)
+        engine.tsum(engine.mul(pooled, g)).backward()
+        gx = x.grad
         assert gx.shape == x.shape
         assert np.allclose(gx.sum(), g.sum())
         # gradient lands only on maximal entries
