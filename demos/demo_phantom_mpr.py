@@ -10,7 +10,8 @@ import os
 
 import numpy as np
 
-from planereg import ExperimentConfig, PhantomSpec, SeededRng, augment_sample, generate_phantom
+from planereg import ExperimentConfig, PhantomSpec, augment_sample, generate_phantom
+from planereg.config import Stream
 from planereg.geometry import write_plane_file
 from planereg.volume import Volume, extract_mpr_slice, write_pgm, write_volume
 from planereg.geometry import compose_transforms, rotation_from_euler_zyx, rotation_transform, translation_transform
@@ -35,8 +36,8 @@ for name, frame in planes.items():
     write_pgm(os.path.join(out_dir, f"{name}.pgm"), img)
     print(f"wrote {name}.pgm; plane normal {np.round(frame.e_w, 3)}")
 
-cfg = ExperimentConfig(out_dims=96, out_spacing=1.65)
-sample = augment_sample(vol, list(planes.values()), cfg, SeededRng(42))
+cfg = ExperimentConfig(out_dims=96, out_spacing=1.65, seed=42)
+sample = augment_sample(vol, list(planes.values()), cfg, (Stream.AUGMENT, 0, 0))  # training's draw for epoch 0, sample 0
 print("\naugmentation: mirrored =", sample.mirrored, " intensity factor =", round(sample.intensity_factor, 4))
 
 aug_hu = sample.image * 1530.0 - 490.0  # map the windowed input roughly back to HU for display

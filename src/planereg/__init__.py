@@ -9,7 +9,7 @@ combined loss and the evaluation score), ``harness`` (training,
 cross-validation, ablations), and ``cli``.
 """
 
-from .augmentation import AugmentedSample, SeededRng, augment_sample, center_input
+from .augmentation import AugmentedSample, augment_sample, center_input
 from .geometry import (
     PlaneFrame,
     RotationKind,
@@ -38,7 +38,6 @@ __all__ = [
     "PlaneFrame",
     "PlaneRegressionNet",
     "RotationKind",
-    "SeededRng",
     "Volume",
     "WindowConfig",
     "augment_sample",

@@ -12,9 +12,10 @@ same matrix, so an augmented sample stays self-consistent: decoding its
 target vector and mapping it back through the inverse transform recovers the
 original annotation.
 
-Randomness comes from :class:`SeededRng`, which derives independent named
-substreams (spatial, intensity, mirror) from a 64-bit seed, plus arbitrary
-sub-keys so per-sample generators are reproducible regardless of scheduling.
+Randomness comes from :func:`planereg.config.generator`: a sample's key (in
+training, ``(Stream.AUGMENT, epoch, index)``) plus a last part of 0, 1 or 2
+picks its spatial, intensity and mirror streams, so every sample's draws
+depend only on the config seed and that key, never on scheduling.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import generator
 from .geometry import (
     PlaneFrame,
     RotationKind,
@@ -48,8 +50,6 @@ from .volume import Volume, intensity_pipeline, resample
 if TYPE_CHECKING:  # harness imports this module
     from .harness import ExperimentConfig
 
-_STREAM_IDS = {"spatial": 0, "intensity": 1, "mirror": 2}
-
 _out_of_cube = 0
 _OUT_OF_CUBE_LOCK = threading.Lock()  # samples may be augmented on several threads at once
 
@@ -59,56 +59,22 @@ def out_of_cube_count() -> int:
     return _out_of_cube
 
 
-class SeededRng:
-    """Named, independently seeded random substreams.
-
-    The same (seed, key) pair always yields the same draw sequence per
-    stream; :meth:`derive` appends key parts (say epoch and sample index) so
-    parallel workers stay reproducible.
-    """
-
-    def __init__(self, seed: int, key: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self.key = tuple(int(k) for k in key)
-        self._streams: dict[str, np.random.Generator] = {}
-
-    def stream(self, name: str) -> np.random.Generator:
-        if name not in self._streams:
-            if name not in _STREAM_IDS:
-                raise KeyError(f"unknown rng stream {name!r}")
-            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key + (_STREAM_IDS[name],))
-            self._streams[name] = np.random.Generator(np.random.PCG64(ss))
-        return self._streams[name]
-
-    @property
-    def spatial(self) -> np.random.Generator:
-        return self.stream("spatial")
-
-    @property
-    def intensity(self) -> np.random.Generator:
-        return self.stream("intensity")
-
-    @property
-    def mirror(self) -> np.random.Generator:
-        return self.stream("mirror")
-
-    def derive(self, *key_parts: int) -> "SeededRng":
-        return SeededRng(self.seed, self.key + tuple(int(k) for k in key_parts))
-
-
-def sample_augmentation(cfg: ExperimentConfig, rng: SeededRng):
+def sample_augmentation(cfg: ExperimentConfig, key: tuple[int, ...]):
     """Draw one augmentation from ``cfg``'s ranges: composite transform, mirror flag, HU factor.
 
-    The transform applies mirror, rotation (per-axis angles, composed Z-Y-X),
-    uniform scale, and translation, in that fixed order.  All streams are
-    consumed on every call so draw alignment never depends on the config.
+    The spatial, intensity and mirror draws come from ``generator(cfg.seed,
+    *key, i)`` with ``i`` 0, 1 and 2.  The transform applies mirror,
+    rotation (per-axis angles, composed Z-Y-X), uniform scale, and
+    translation, in that fixed order.  All streams are consumed on every call
+    so draw alignment never depends on the config.
     """
-    mirrored = bool(rng.mirror.random() < cfg.mirror_prob)
+    spatial, intensity, mirror = (generator(cfg.seed, *key, stream) for stream in range(3))
+    mirrored = bool(mirror.random() < cfg.mirror_prob)
     r = np.radians(cfg.rot_deg)
-    rx, ry, rz = rng.spatial.uniform(-r, r, size=3)
-    s = float(rng.spatial.uniform(cfg.scale_lo, cfg.scale_hi))
-    t = rng.spatial.uniform(-cfg.trans_mm, cfg.trans_mm, size=3)
-    factor = float(rng.intensity.uniform(cfg.intensity_lo, cfg.intensity_hi))
+    rx, ry, rz = spatial.uniform(-r, r, size=3)
+    s = float(spatial.uniform(cfg.scale_lo, cfg.scale_hi))
+    t = spatial.uniform(-cfg.trans_mm, cfg.trans_mm, size=3)
+    factor = float(intensity.uniform(cfg.intensity_lo, cfg.intensity_hi))
 
     steps = [mirror_x_transform()] if mirrored else []
     steps += [
@@ -157,17 +123,17 @@ class AugmentedSample:
     center_out_of_bounds: bool
 
 
-def augment_sample(vol: Volume, planes, cfg: ExperimentConfig, rng: SeededRng) -> AugmentedSample:
+def augment_sample(vol: Volume, planes, cfg: ExperimentConfig, key: tuple[int, ...]) -> AugmentedSample:
     """Produce an augmented input tensor plus consistently moved labels.
 
-    The volume is interpolated exactly once (through the composite
-    transform) onto ``cfg``'s output grid; the intensity pipeline then maps
-    HU to (0, 1), and the targets use ``cfg``'s rotation encoding.  A sample
-    whose transformed plane center leaves the normalized cube is kept but
-    flagged and counted.
+    The draws are :func:`sample_augmentation`'s under ``key``.  The volume
+    is interpolated exactly once (through the composite transform) onto
+    ``cfg``'s output grid; the intensity pipeline then maps HU to (0, 1), and
+    the targets use ``cfg``'s rotation encoding.  A sample whose transformed
+    plane center leaves the normalized cube is kept but flagged and counted.
     """
     global _out_of_cube
-    T, mirrored, factor = sample_augmentation(cfg, rng)
+    T, mirrored, factor = sample_augmentation(cfg, key)
     resampled = resample(vol, T, cfg.out_dims, cfg.out_spacing)
     # resample returns a transposed view; the network takes C order, so convert once here
     image = intensity_pipeline(resampled.values, factor).astype(np.float32, order="C")

@@ -16,9 +16,9 @@ defaults; the experiment keys are the fields of
 :class:`planereg.harness.ExperimentConfig`, which checks them all before any
 data is read or output written.  Exit codes: 0 success, 1 validation error,
 2 runtime failure.  Validation errors (a malformed config, a key out of
-range or not finite, a missing file, a manifest whose mode or patient count
-does not fit the config, bad ``--folds`` or ``--jobs``) are found before the
-command makes its output.
+range or not finite, a missing file, a malformed manifest line or a volume
+listed twice, a manifest whose mode or patient count does not fit the config,
+bad ``--folds`` or ``--jobs``) are found before the command makes its output.
 """
 
 from __future__ import annotations

@@ -7,16 +7,44 @@ resolved result is written next to the run artifacts as ``run.lock`` so any
 run can be reproduced from that single file.  A schema takes its defaults
 from the dataclass or function it configures, and each key's type from its
 default, so neither is written twice.
+
+Every random draw of a run comes from :func:`generator`, keyed by the run's
+``seed`` and a tuple that starts with one :class:`Stream` tag, so the seed
+alone fixes every dataset, split, initial weight, sample order and
+augmentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from enum import Enum
+from enum import Enum, IntEnum, unique
+
+import numpy as np
 
 
 class ConfigError(ValueError):
     """A configuration file or override is malformed."""
+
+
+@unique
+class Stream(IntEnum):
+    """First key part of every random stream drawn from a ``seed`` key.  No
+    two uses share a tag (``unique`` rejects a repeated value at import), so
+    no two draws ever share a stream."""
+
+    SPLIT = 7  # cross-validation fold shuffle
+    INIT = 11  # initial network weights
+    SHUFFLE = 13  # per-epoch sample order: (SHUFFLE, epoch)
+    PATIENT = 101  # phantom anatomy: (PATIENT, patient)
+    VOLUME = 102  # phantom pose and truncation: (VOLUME, patient, volume)
+    METAL = 103  # phantom metal: (METAL, patient, volume)
+    AUGMENT = 1000  # per-sample augmentation: (AUGMENT, epoch, index, 0|1|2)
+
+
+def generator(seed: int, *key: int) -> np.random.Generator:
+    """The random stream of ``seed`` under ``key``, whose first part is a
+    :class:`Stream` tag; the same seed and key always give the same draws."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 # keyed by the exact type of a default

@@ -411,6 +411,8 @@ def write_plane_file(path, planes: dict[str, PlaneFrame]) -> None:
 
 
 def read_plane_file(path) -> dict[str, PlaneFrame]:
+    """Planes of an annotation file by name; a malformed line or a plane
+    named twice raises :class:`GeometryError` naming the file and line."""
     planes: dict[str, PlaneFrame] = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -420,6 +422,11 @@ def read_plane_file(path) -> dict[str, PlaneFrame]:
             parts = line.split()
             if len(parts) != 10:
                 raise GeometryError(f"{path}:{lineno}: expected `name` plus 9 numbers")
-            nums = np.array([float(x) for x in parts[1:]])
-            planes[parts[0]] = PlaneFrame(A=nums[0:3], e_u=nums[3:6], e_v=nums[6:9])
+            if parts[0] in planes:
+                raise GeometryError(f"{path}:{lineno}: plane {parts[0]!r} is already listed")
+            try:
+                nums = np.array([float(x) for x in parts[1:]])
+                planes[parts[0]] = PlaneFrame(A=nums[0:3], e_u=nums[3:6], e_v=nums[6:9])
+            except ValueError as exc:
+                raise GeometryError(f"{path}:{lineno}: {exc}") from None
     return planes

@@ -6,6 +6,12 @@ the overall distribution as closely as the patient grouping allows.  Training
 uses online augmentation (a fresh random augmentation of every sample each
 epoch), SGD with classic momentum, and a stepwise learning-rate schedule; a
 fixed master seed makes the final checkpoint bit-for-bit reproducible.
+
+Every random draw comes from :func:`planereg.config.generator` under the
+master seed: the fold split from ``(SPLIT,)``, the initial weights from
+``(INIT,)``, epoch ``e``'s sample order from ``(SHUFFLE, e)``, and the
+augmentation of sample ``i`` in epoch ``e`` from ``(AUGMENT, e, i)``.  An
+epoch's draws therefore depend only on the seed and the epoch number.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ._kernels import _MIN_TASK, _map_tasks
-from .augmentation import SeededRng, augment_sample, center_input, decode_plane_vector
-from .config import ConfigError, Field, field_values, schema
+from .augmentation import augment_sample, center_input, decode_plane_vector
+from .config import ConfigError, Field, Stream, field_values, generator, schema
 from .geometry import SCALE_RANGE, DegenerateEncodingError, PlaneFrame, RotationKind, read_plane_file
 from .loss_metrics import (
     LossWeights,
@@ -38,7 +44,6 @@ from .volume import JITTER_RANGE, Volume, read_volume
 
 logger = logging.getLogger(__name__)
 
-_AUG_TAG = 1000  # seed-sequence namespace for per-sample augmentation draws
 _FLOAT_MAX = float(np.finfo(float).max)
 _MAX_DIMS = (1 << (np.iinfo(np.intp).bits - 1) // 3) - 1  # a side whose cube of voxels numpy can index: 2**21 - 1 at 64 bits
 
@@ -250,7 +255,7 @@ def split_kfold_grouped(entries: list[ManifestEntry], k: int, seed: int) -> Fold
         key = tuple(sorted(v.origin_class for v in vols))
         by_type.setdefault(key, []).append(pid)
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(7,))))
+    rng = generator(seed, Stream.SPLIT)
     fold_of: dict[str, int] = {}
     cursor = 0
     for key in sorted(by_type):
@@ -305,19 +310,14 @@ def train(
     if len(names) == 1 and weights.gamma > 0.0:
         raise ConfigError("single-plane training requires gamma = 0")
 
-    init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(11,))))
-    net = PlaneRegressionNet(cfg.network_config(n_planes=len(names)), rng=init_rng)
+    net = PlaneRegressionNet(cfg.network_config(n_planes=len(names)), rng=generator(cfg.seed, Stream.INIT))
     opt = SGDMomentum(net, lr=cfg.lr, momentum=cfg.momentum)
-    base_rng = SeededRng(cfg.seed)
 
     curve: list[float] = []
     out_of_cube = 0
     for epoch in range(cfg.epochs):
         opt.lr = step_decay(cfg.lr, cfg.decay, cfg.step_size, epoch)
-        shuffle_rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(13, epoch)))
-        )
-        order = shuffle_rng.permutation(len(samples))
+        order = generator(cfg.seed, Stream.SHUFFLE, epoch).permutation(len(samples))
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
@@ -327,9 +327,7 @@ def train(
             def fill(row):
                 idx = int(batch[row])
                 s = samples[idx]
-                aug = augment_sample(
-                    s.volume, [s.planes[n] for n in names], cfg, base_rng.derive(_AUG_TAG, epoch, idx)
-                )
+                aug = augment_sample(s.volume, [s.planes[n] for n in names], cfg, (Stream.AUGMENT, epoch, idx))
                 images[row, 0] = aug.image
                 targets[row] = aug.target
                 return aug.center_out_of_bounds

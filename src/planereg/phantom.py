@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Stream, generator
 from .geometry import (
     PlaneFrame,
     assert_rigid_transform,
@@ -67,11 +68,6 @@ _CORNER_BITS = np.array(list(itertools.product((False, True), repeat=3)))
 
 ORIGIN_CLASSES = ("metal", "metal_outside", "no_metal")
 PLANE_NAMES = {"ankle": ("axial", "sagittal", "coronal"), "calcaneus": ("axial", "sagittal", "semicoronal")}
-
-# seed-sequence stream tags
-_PATIENT_STREAM = 101
-_VOLUME_STREAM = 102
-_METAL_STREAM = 103
 
 
 class PhantomGenerationError(RuntimeError):
@@ -350,6 +346,8 @@ class ManifestEntry:
     def __post_init__(self):
         if self.origin_class not in ORIGIN_CLASSES:
             raise ValueError(f"unknown origin class {self.origin_class!r}")
+        if self.mode not in PLANE_NAMES:
+            raise ValueError(f"unknown mode {self.mode!r}, expected one of {sorted(PLANE_NAMES)}")
 
 
 def write_manifest(path, entries: list[ManifestEntry]) -> None:
@@ -359,7 +357,10 @@ def write_manifest(path, entries: list[ManifestEntry]) -> None:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
+    """Entries of a manifest file; a malformed line or a volume path listed
+    twice raises ``ValueError`` naming the file and line."""
     entries = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -368,7 +369,14 @@ def read_manifest(path) -> list[ManifestEntry]:
             parts = line.split()
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected `path patient_id class mode`")
-            entries.append(ManifestEntry(parts[0], int(parts[1]), parts[2], parts[3]))
+            try:
+                entry = ManifestEntry(parts[0], int(parts[1]), parts[2], parts[3])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if entry.path in first_line:
+                raise ValueError(f"{path}:{lineno}: volume {entry.path!r} is already listed on line {first_line[entry.path]}")
+            first_line[entry.path] = lineno
+            entries.append(entry)
     return entries
 
 
@@ -442,18 +450,10 @@ def generate_dataset(
     n_metal_patients = int(round(metal_fraction * n_patients))
     entries: list[ManifestEntry] = []
     for pid in range(n_patients):
-        prng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(_PATIENT_STREAM, pid)))
-        )
-        params = _draw_patient_params(mode, prng)
+        params = _draw_patient_params(mode, generator(seed, Stream.PATIENT, pid))
         clinical = pid < n_metal_patients
         for vi in range(volumes_per_patient):
-            vrng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(_VOLUME_STREAM, pid, vi)))
-            )
-            mrng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(_METAL_STREAM, pid, vi)))
-            )
+            vrng = generator(seed, Stream.VOLUME, pid, vi)
             if clinical:
                 origin_class = "metal"
             else:
@@ -466,7 +466,7 @@ def generate_dataset(
                 truncation=float(vrng.uniform(trunc_lo, trunc_hi)),
                 **params,
             )
-            vol, planes = generate_phantom(spec, dims, spacing, mrng)
+            vol, planes = generate_phantom(spec, dims, spacing, generator(seed, Stream.METAL, pid, vi))
             stem = f"vol_p{pid:03d}_v{vi}"
             write_volume(os.path.join(out_dir, stem), vol)
             write_plane_file(os.path.join(out_dir, stem + ".planes"), planes)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from planereg.augmentation import (
-    SeededRng,
     augment_sample,
     center_input,
     decode_plane_vector,
@@ -10,6 +9,7 @@ from planereg.augmentation import (
     out_of_cube_count,
     sample_augmentation,
 )
+from planereg.config import Stream, generator
 from planereg.geometry import (
     SCALE_RANGE,
     PlaneFrame,
@@ -55,27 +55,47 @@ def protocol_config(**kw):
     return ExperimentConfig(out_dims=32, out_spacing=5.0, **kw)
 
 
-class TestSeededRng:
-    def test_streams_reproducible(self):
-        a = SeededRng(42)
-        b = SeededRng(42)
-        assert a.spatial.uniform(size=5).tolist() == b.spatial.uniform(size=5).tolist()
+# each tag's first two draws under seed 0 and its usual key shape; PCG64 and
+# SeedSequence give the same bits on every platform, so a changed key fails here
+PINNED_DRAWS = {
+    (Stream.SPLIT,): [0.3053777499252208, 0.023649579772181406],
+    (Stream.INIT,): [0.14808356397775635, 0.15126391338238565],
+    (Stream.SHUFFLE, 0): [0.23326128372418986, 0.12917312803381642],
+    (Stream.PATIENT, 0): [0.002567282518656122, 0.10971776783965159],
+    (Stream.VOLUME, 0, 0): [0.3617585118496909, 0.935375272923239],
+    (Stream.METAL, 0, 0): [0.32032085702765967, 0.01279139701038956],
+    (Stream.AUGMENT, 0, 0, 0): [0.18571823140448318, 0.8051761440185672],
+}
 
-    def test_streams_independent(self):
-        r = SeededRng(42)
-        s1 = r.spatial.uniform(size=5)
-        s2 = r.intensity.uniform(size=5)
-        assert not np.allclose(s1, s2)
 
-    def test_derive_changes_sequence(self):
+class TestGenerator:
+    def test_same_key_same_draws(self):
+        a = generator(42, Stream.AUGMENT, 3, 1)
+        b = generator(42, Stream.AUGMENT, 3, 1)
+        assert a.uniform(size=5).tolist() == b.uniform(size=5).tolist()
+
+    def test_last_key_part_changes_draws(self):
         assert not np.allclose(
-            SeededRng(1).derive(0, 0).spatial.uniform(size=3),
-            SeededRng(1).derive(0, 1).spatial.uniform(size=3),
+            generator(1, Stream.AUGMENT, 0, 0).uniform(size=3),
+            generator(1, Stream.AUGMENT, 0, 1).uniform(size=3),
         )
 
-    def test_unknown_stream_rejected(self):
-        with pytest.raises(KeyError):
-            SeededRng(0).stream("nope")
+    def test_augmentation_streams_independent(self):
+        spatial, intensity, mirror = (generator(42, Stream.AUGMENT, 0, 0, i).uniform(size=5) for i in range(3))
+        assert not np.allclose(spatial, intensity)
+        assert not np.allclose(spatial, mirror)
+        assert not np.allclose(intensity, mirror)
+
+    def test_tags_pairwise_distinct(self):
+        values = [int(tag) for tag in Stream.__members__.values()]
+        assert len(values) == len(set(values))
+
+    def test_every_tag_pinned(self):
+        assert {key[0] for key in PINNED_DRAWS} == set(Stream)
+
+    @pytest.mark.parametrize("key", list(PINNED_DRAWS), ids=[k[0].name for k in PINNED_DRAWS])
+    def test_first_draws_pinned(self, key):
+        assert generator(0, *key).random(2).tolist() == PINNED_DRAWS[key]
 
 
 class TestAugmentConfig:
@@ -114,26 +134,34 @@ class TestAugmentConfig:
 
 class TestSampleAugmentation:
     def test_degenerate_config_gives_identity(self):
-        T, mirrored, factor = sample_augmentation(degenerate_config(), SeededRng(0))
+        T, mirrored, factor = sample_augmentation(degenerate_config(), (Stream.AUGMENT, 0, 0))
         assert np.array_equal(T, np.eye(4))
         assert mirrored is False
         assert factor == 1.0
 
     def test_seed_determinism(self):
-        cfg = protocol_config()
-        a = sample_augmentation(cfg, SeededRng(42))
-        b = sample_augmentation(cfg, SeededRng(42))
+        cfg = protocol_config(seed=42)
+        a = sample_augmentation(cfg, (Stream.AUGMENT, 0, 0))
+        b = sample_augmentation(cfg, (Stream.AUGMENT, 0, 0))
         assert np.array_equal(a[0], b[0]) and a[1] == b[1] and a[2] == b[2]
 
+    def test_draws_pinned(self):
+        # the spatial (translation, drawn after the angles and the scale),
+        # intensity and mirror streams of training's first sample under seed 0
+        T, mirrored, factor = sample_augmentation(protocol_config(), (Stream.AUGMENT, 0, 0))
+        assert mirrored is True
+        assert factor == 0.9847939298493722
+        assert T[:3, 3].tolist() == [2.183612402348885, 0.3355093982719879, -2.7889033830999708]
+
     def test_mirror_frequency(self):
-        cfg = protocol_config()
-        hits = sum(sample_augmentation(cfg, SeededRng(7).derive(i))[1] for i in range(10_000))
+        cfg = protocol_config(seed=7)
+        hits = sum(sample_augmentation(cfg, (Stream.AUGMENT, 0, i))[1] for i in range(10_000))
         assert 0.47 <= hits / 10_000 <= 0.53
 
     def test_parameters_within_ranges(self):
-        cfg = protocol_config()
+        cfg = protocol_config(seed=3)
         for i in range(100):
-            T, mirrored, factor = sample_augmentation(cfg, SeededRng(3).derive(i))
+            T, mirrored, factor = sample_augmentation(cfg, (Stream.AUGMENT, 0, i))
             assert 0.95 <= factor <= 1.05
             L = T[:3, :3]
             s = abs(np.linalg.det(L)) ** (1 / 3)
@@ -169,7 +197,7 @@ class TestEncodeDecode:
 class TestAugmentSample:
     def test_identity_augmentation_keeps_targets(self, phantom):
         vol, planes = phantom
-        s = augment_sample(vol, planes, degenerate_config(), SeededRng(0))
+        s = augment_sample(vol, planes, degenerate_config(), (Stream.AUGMENT, 0, 0))
         want = encode_plane_targets(planes, RotationKind.SIXD, 160.0)
         assert np.max(np.abs(s.target - want)) < 1e-12
         assert s.image.shape == (32, 32, 32)
@@ -177,16 +205,16 @@ class TestAugmentSample:
 
     def test_single_interpolation_pass(self, phantom):
         vol, planes = phantom
-        cfg = protocol_config()
+        cfg = protocol_config(seed=1)
         before = interpolation_call_count()
-        augment_sample(vol, planes, cfg, SeededRng(1))
+        augment_sample(vol, planes, cfg, (Stream.AUGMENT, 0, 0))
         assert interpolation_call_count() - before == 1
 
     def test_label_consistency_through_inverse(self, phantom):
         vol, planes = phantom
-        cfg = protocol_config(mirror_prob=0.0)
+        cfg = protocol_config(mirror_prob=0.0, seed=5)
         for i in range(100):
-            s = augment_sample(vol, planes, cfg, SeededRng(5).derive(i))
+            s = augment_sample(vol, planes, cfg, (Stream.AUGMENT, 0, i))
             Tinv = np.linalg.inv(s.transform)
             Tinv[3] = [0.0, 0.0, 0.0, 1.0]
             decoded = decode_plane_vector(s.target, RotationKind.SIXD, cfg.extent_mm)
@@ -215,21 +243,21 @@ class TestAugmentSample:
 
     def test_out_of_cube_flagged_and_counted(self, phantom):
         vol, planes = phantom
-        cfg = degenerate_config(trans_mm=200.0)
+        cfg = degenerate_config(trans_mm=200.0, seed=11)
         before = out_of_cube_count()
         flagged = 0
         for i in range(20):
-            s = augment_sample(vol, planes, cfg, SeededRng(11).derive(i))
+            s = augment_sample(vol, planes, cfg, (Stream.AUGMENT, 0, i))
             flagged += s.center_out_of_bounds
         assert flagged > 0
         assert out_of_cube_count() - before == flagged
 
     def test_mirrored_sample_flips_anatomy_consistently(self, phantom):
         vol, planes = phantom
-        cfg = degenerate_config(mirror_prob=1.0)
-        s = augment_sample(vol, planes, cfg, SeededRng(2))
+        cfg = degenerate_config(mirror_prob=1.0, seed=2)
+        s = augment_sample(vol, planes, cfg, (Stream.AUGMENT, 0, 0))
         assert s.mirrored
-        ident = augment_sample(vol, planes, degenerate_config(), SeededRng(2))
+        ident = augment_sample(vol, planes, degenerate_config(seed=2), (Stream.AUGMENT, 0, 0))
         assert np.allclose(s.image, ident.image[::-1, :, :], atol=1e-6)
         for moved, orig in zip(s.planes, planes):
             assert np.allclose(moved.A, orig.A * [-1, 1, 1])

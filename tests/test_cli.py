@@ -521,6 +521,31 @@ class TestHelpAndErrors:
         assert f"{manifest}: the manifest lists no volumes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "xval"])
+    @pytest.mark.parametrize(
+        "lines,lineno,message",
+        [
+            (["vol_p000_v0 0 metal foot"], 1, "unknown mode 'foot'"),
+            (["vol_p000_v0 0 metal ankle", "vol_p001_v0 x no_metal ankle"], 2, "invalid literal for int()"),
+            (["# header", "vol_p000_v0 0 steel ankle"], 2, "unknown origin class 'steel'"),
+            (["vol_p000_v0 0 metal ankle", "vol_p000_v0 1 metal ankle"], 2, "'vol_p000_v0' is already listed on line 1"),
+            (["vol_p000_v0 0 metal ankle", "vol_p000_v0 0 metal ankle"], 2, "'vol_p000_v0' is already listed on line 1"),
+        ],
+        ids=["unknown-mode", "bad-patient", "unknown-class", "path-under-two-patients", "repeated-line"],
+    )
+    def test_malformed_manifest_line_exits_1_before_any_output(
+        self, trained_dir, tmp_path, capsys, command, lines, lineno, message
+    ):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join(line + "\n" for line in lines), encoding="ascii")
+        out = tmp_path / "o"
+        source = ["--checkpoint", str(trained_dir / "checkpoint.bin")] if command == "eval" else TRAIN_OVERRIDES
+        code = run_cli(command, "--manifest", str(manifest), "--out", str(out), *source)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{manifest}:{lineno}: " in err and message in err
+        assert not out.exists()
+
     def test_non_integer_fold_names_option(self, dataset_dir, tmp_path, capsys):
         code = run_cli(
             "xval", "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(tmp_path / "o"),

@@ -395,3 +395,21 @@ class TestPlaneFile:
         path.write_text("axial 0 0 0 1 0\n")
         with pytest.raises(GeometryError, match="planes.txt:1"):
             read_plane_file(path)
+
+    def test_bad_number_reports_location(self, tmp_path):
+        path = tmp_path / "planes.txt"
+        path.write_text("axial 0 0 0 1 0 0 0 1 0\nsagittal 0 0 abc 1 0 0 0 0 1\n")
+        with pytest.raises(GeometryError, match=r"planes.txt:2: could not convert string to float: 'abc'"):
+            read_plane_file(path)
+
+    def test_bad_frame_reports_location(self, tmp_path):
+        path = tmp_path / "planes.txt"
+        path.write_text("# comment\naxial 0 0 0 2 0 0 0 1 0\n")
+        with pytest.raises(GeometryError, match="planes.txt:2: e_u is not unit length"):
+            read_plane_file(path)
+
+    def test_repeated_plane_rejected(self, tmp_path):
+        path = tmp_path / "planes.txt"
+        path.write_text("axial 0 0 0 1 0 0 0 1 0\naxial 5 0 0 1 0 0 0 1 0\n")
+        with pytest.raises(GeometryError, match="planes.txt:2: plane 'axial' is already listed"):
+            read_plane_file(path)

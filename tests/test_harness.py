@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from planereg import _kernels, augmentation, harness, volume
-from planereg.config import ConfigError, format_config, read_config_file, resolve
+from planereg.config import ConfigError, Stream, format_config, generator, read_config_file, resolve
 from planereg.geometry import RotationKind
 from planereg.harness import (
     ABLATION_AXES,
@@ -201,7 +201,7 @@ class TestTrain:
         assert result.loss_curve == []
         fresh = PlaneRegressionNet(
             cfg.network_config(),
-            rng=np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(11,))),
+            rng=generator(cfg.seed, Stream.INIT),
         )
         for (na, pa), (nb, pb) in zip(result.net.named_parameters(), fresh.named_parameters()):
             assert na == nb
@@ -509,7 +509,6 @@ class TestFoldsAndAblations:
         assert proc.returncode == 0, err
         assert out.split() == [str(tiny_config().k)]
 
-    @pytest.mark.slow
     def test_parallel_folds_match_sequential(self, tiny_dataset, tmp_path):
         cfg = tiny_config()
         seq = cross_validate(cfg, tiny_dataset, tmp_path / "seq", jobs=1)

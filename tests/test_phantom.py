@@ -267,7 +267,6 @@ class TestBoxedRender:
         assert peak_mb < 160.0, f"VmHWM {peak_mb:.1f} MB; stderr: {proc.stderr}"
 
 
-@pytest.mark.slow
 class TestNoSymmetry:
     def test_rotated_renders_distinguishable(self):
         # the body must have no nontrivial rotational symmetry: any rotation
@@ -309,6 +308,10 @@ class TestManifest:
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError):
             ManifestEntry("x", 0, "mystery", "ankle")
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode 'foot'"):
+            ManifestEntry("x", 0, "metal", "foot")
 
     def test_malformed_line_reported(self, tmp_path):
         (tmp_path / "m.txt").write_text("a b c\n")
